@@ -20,8 +20,9 @@
  *  - >=2.0x median single-request speedup (off@8 / on@8) on at least
  *    3 GEMM-dominated models (>=50% measured GEMM kernel time) — a
  *    wall-clock bar that needs real parallel hardware, so it is
- *    enforced only when hardware_concurrency >= 8 and reported as
- *    SKIPPED (loudly, without failing) on narrower machines;
+ *    enforced only when hardware_concurrency >= 8; on narrower
+ *    machines it is SKIPPED — named in the final output line and
+ *    recorded as "skipped" in the JSON aggregate, never a silent pass;
  *  - intra-op off costs nothing: aggregate off@8 <= 1.03x off@1;
  *  - bit-identical outputs everywhere.
  *
@@ -53,14 +54,14 @@ constexpr int kConfigs = 5;
 const char *kConfigName[kConfigs] = {"off@1", "off@8", "on@1", "on@2",
                                      "on@8"};
 
-/** The backend whose GEMMs shard: intra-op lives in the optimized and
- *  simd tile loops, so a reference-backend default (no $NGB_BACKEND)
- *  would measure nothing — fall through to optimized. */
+/** The backend whose GEMMs shard: intra-op lives in the simd tile
+ *  loops, so a reference-backend default (no $NGB_BACKEND) would
+ *  measure nothing — use simd. */
 const Backend &
 benchBackend()
 {
     const Backend &d = defaultBackend();
-    return d.name() == "reference" ? optimizedBackend() : d;
+    return d.name() == "reference" ? simdBackend() : d;
 }
 
 struct ModelScaling {
@@ -215,6 +216,14 @@ main(int argc, char **argv)
                 off1_sum * 1e-3, off8_sum * 1e-3, 100.0 * off_overhead,
                 fast_gemm_models);
 
+    // The 8-thread bar cannot be measured on a narrower host: say so in
+    // the JSON and in the last line, so a PASS never hides it.
+    std::string skipped;
+    if (hw < 8)
+        skipped = "speedup bar (>=2x at 8 threads on >=3 GEMM-dominated "
+                  "models) needs >=8 hardware threads, host has " +
+                  std::to_string(hw);
+
     bool ok = true;
     if (check) {
         if (!bits_ok) {
@@ -251,8 +260,10 @@ main(int argc, char **argv)
           << ",\n  \"aggregate\": {\"off1_us\": " << off1_sum
           << ", \"off8_us\": " << off8_sum
           << ", \"off_overhead\": " << off_overhead
-          << ", \"fast_gemm_models\": " << fast_gemm_models
-          << "},\n  \"models\": [\n";
+          << ", \"fast_gemm_models\": " << fast_gemm_models;
+        if (!skipped.empty())
+            f << ", \"skipped\": \"" << skipped << "\"";
+        f << "},\n  \"models\": [\n";
         for (size_t i = 0; i < results.size(); ++i) {
             const ModelScaling &m = results[i];
             f << "    {\"model\": \"" << m.model << "\"";
@@ -272,7 +283,10 @@ main(int argc, char **argv)
         std::printf("wrote %s\n", json.c_str());
     }
 
-    if (check)
+    if (check) {
         std::printf("check: %s\n", ok ? "PASS" : "FAIL");
+        if (!skipped.empty())
+            std::printf("check: SKIPPED %s\n", skipped.c_str());
+    }
     return ok ? 0 : 1;
 }

@@ -4,7 +4,7 @@
  * modeled (PyTorch vs TorchInductor vs TensorRT on Swin-T, Swin-B,
  * DETR and SegFormer across batch sizes 1/2/4/8), and since the
  * executable-fusion rewrite also MEASURED: the same registry graphs
- * run end to end, unfused vs applyFusion'd, under the optimized
+ * run end to end, unfused vs applyFusion'd, under the simd
  * backend, plus a point-wise-chain micro isolating the single-pass
  * fused loop.
  *
@@ -86,8 +86,8 @@ measureModel(const std::string &name, int reps)
     row.fusionRate = st.fusionRate();
     row.groups = st.groupsEmitted;
     std::vector<Tensor> inputs = makeRequestInputs(g, 42);
-    row.unfusedMs = timedRunMs(g, optimizedBackend(), inputs, reps);
-    row.fusedMs = timedRunMs(fused, optimizedBackend(), inputs, reps);
+    row.unfusedMs = timedRunMs(g, simdBackend(), inputs, reps);
+    row.fusedMs = timedRunMs(fused, simdBackend(), inputs, reps);
     return row;
 }
 
@@ -121,8 +121,8 @@ measurePointwiseMicro(int reps)
     row.fusionRate = st.fusionRate();
     row.groups = st.groupsEmitted;
     std::vector<Tensor> inputs = makeRequestInputs(g, 7);
-    row.unfusedMs = timedRunMs(g, optimizedBackend(), inputs, reps);
-    row.fusedMs = timedRunMs(fused, optimizedBackend(), inputs, reps);
+    row.unfusedMs = timedRunMs(g, simdBackend(), inputs, reps);
+    row.fusedMs = timedRunMs(fused, simdBackend(), inputs, reps);
     return row;
 }
 
@@ -202,11 +202,11 @@ main(int argc, char **argv)
     if (!skip_modeled)
         printModeled(json.empty() ? nullptr : &modeledRows);
 
-    // Measured: unfused vs fused end-to-end, optimized backend,
+    // Measured: unfused vs fused end-to-end, simd backend,
     // serial executor (single-thread for stable CI timings).
     const int reps = 3;
     std::vector<MeasuredRow> rows;
-    std::printf("\nMeasured fusion speedup (optimized backend, scale "
+    std::printf("\nMeasured fusion speedup (simd backend, scale "
                 "1/8, best of %d)\n",
                 reps);
     bench::printRule(78);

@@ -4,7 +4,7 @@
  * LLM.int8()-quantized Llama3-8B versus the FP16 baseline across
  * sequence lengths 512..8192 on Platform A — modeled, and since the
  * executable quantization subsystem also MEASURED: registry graphs run
- * end to end float vs int8, unfused vs fused, under the optimized
+ * end to end float vs int8, unfused vs fused, under the simd
  * backend, with arena bytes, standalone Q/DQ op counts, and the
  * packed-weight memory reduction per model.
  *
@@ -108,7 +108,7 @@ measureModel(const std::string &name, int scale, int reps)
     row.arenaInt8 = buildEnginePlan(q8)->memplan.arenaBytes;
 
     std::vector<Tensor> inputs = makeRequestInputs(g, 42);
-    const Backend &backend = optimizedBackend();
+    const Backend &backend = simdBackend();
     row.floatMs = timedRunMs(g, backend, inputs, reps);
     row.floatFusedMs = timedRunMs(gf, backend, inputs, reps);
     row.int8RawMs = timedRunMs(raw, backend, inputs, reps);
@@ -234,14 +234,14 @@ main(int argc, char **argv)
     if (!skip_modeled)
         printModeled(json.empty() ? nullptr : &modeledRows);
 
-    // Measured: float vs int8, unfused vs fused, optimized backend,
+    // Measured: float vs int8, unfused vs fused, simd backend,
     // serial executor (single-thread for stable CI timings). Scale
     // 1/4 keeps K large enough that the int8 GEMM core is the story,
     // not the Q/DQ overhead of toy shapes.
     const int reps = 3, scale = 4;
     std::vector<MeasuredRow> rows;
     std::printf("\nMeasured: float vs int8, unfused vs fused "
-                "(optimized backend, scale 1/%d, best of %d)\n",
+                "(simd backend, scale 1/%d, best of %d)\n",
                 scale, reps);
     bench::printRule(100);
     std::printf("%-10s %5s %9s %9s %9s %9s %9s %8s %8s %6s %7s\n",

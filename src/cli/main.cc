@@ -52,7 +52,7 @@ struct RuntimeCli {
                              ///< not host-executable in reasonable time
     bool verify = false;     ///< cross-check parallel against serial
     std::string backend;     ///< kernel backend; "" = process default,
-                             ///< "both" = reference + optimized sweep
+                             ///< "both" = reference + simd sweep
     bool fuse = false;       ///< applyFusion before executing; in
                              ///< parallel mode the unfused graph is
                              ///< measured too and printed side by side
@@ -347,8 +347,8 @@ runRuntimeModel(const std::string &name, const BenchConfig &cfg,
                       << " the unfused graph\n";
         }
         // A non-reference backend must additionally reproduce the
-        // reference numerics within float tolerance (optimized
-        // kernels may reassociate accumulation, so not bit-for-bit).
+        // reference numerics within float tolerance (simd kernels
+        // round FMA chains differently, so not bit-for-bit).
         // Activation-quantized graphs get the quant comparator
         // instead: the backends' float ops legally differ by ulps,
         // and an absmax scale moving one ulp shifts EVERY int8 code
@@ -412,11 +412,11 @@ runtimeMain(const BenchConfig &cfg, const RuntimeCli &rt,
     }
 
     // --backend both: measure the same graphs under reference AND
-    // optimized kernels and print the side-by-side GEMM / non-GEMM
+    // simd kernels and print the side-by-side GEMM / non-GEMM
     // attribution — the paper's split re-measured as kernels improve.
     std::vector<const Backend *> backends;
     if (rt.backend == "both")
-        backends = {&referenceBackend(), &optimizedBackend()};
+        backends = {&referenceBackend(), &simdBackend()};
     else if (rt.backend.empty())
         backends = {&defaultBackend()};
     else
@@ -646,20 +646,20 @@ usage()
         "  --threads N          worker threads (default: hardware)\n"
         "  --scale N            shrink models by N for host execution\n"
         "                       (default 8; 1 = paper scale, slow)\n"
-        "  --backend NAME       kernel backend: reference | optimized\n"
-        "                       | simd, or 'both' to measure the same\n"
-        "                       graph under both reference and\n"
-        "                       optimized and print the side-by-side\n"
-        "                       GEMM/non-GEMM attribution (default:\n"
+        "  --backend NAME       kernel backend: reference | simd, or\n"
+        "                       'both' to measure the same graph\n"
+        "                       under reference and simd and print\n"
+        "                       the side-by-side GEMM/non-GEMM\n"
+        "                       attribution (default:\n"
         "                       $NGB_BACKEND or reference)\n"
         "  --isa LEVEL          auto | scalar | neon | avx2 | avx512:\n"
         "                       force the process-wide SIMD dispatch\n"
         "                       level the simd backend registers its\n"
-        "                       kernels at. Forcing a level below what\n"
-        "                       the host supports is always allowed\n"
-        "                       (scalar makes every op fall through to\n"
-        "                       optimized); asking for more than the\n"
-        "                       host/build supports is an error. auto\n"
+        "                       kernels at. scalar (the portable\n"
+        "                       kernels) is always allowed; neon needs\n"
+        "                       aarch64, avx2/avx512 need x86, and\n"
+        "                       asking for a level the host/build\n"
+        "                       cannot run is an error. auto\n"
         "                       (default) uses runtime CPU detection.\n"
         "                       $NGB_ISA sets it ambiently (clamped,\n"
         "                       with a warning, instead of erroring)\n"

@@ -92,9 +92,9 @@ KernelGroup singletonGroup(const Graph &g, const Node &n);
  * and every other node is copied through. The result is a valid,
  * topologically ordered graph the executors run end to end: the
  * reference backend interprets each chain member-by-member
- * (bit-identical to the unfused graph), the optimized backend
- * pre-merges Conv+BN affines and fuses bias/activation epilogues into
- * its GEMM tile write-out (tolerance, documented reassociation).
+ * (bit-identical to the unfused graph), the simd backend pre-merges
+ * Conv+BN affines (tolerance, documented reassociation) and runs
+ * activation epilogues inside its GEMM shards (bit-identical).
  *
  * @p stats receives the same FusionStats the scoring pass reports.
  */

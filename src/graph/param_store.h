@@ -39,7 +39,7 @@ class ParamStore
      * Memoized derived tensor for (@p n, @p slot): @p build runs once
      * (under the store mutex), later calls return the cached result.
      * Backends use this to amortize per-node preprocessing of
-     * immutable parameters — e.g. the optimized backend's packed
+     * immutable parameters — e.g. the simd backend's packed
      * weight transpose — across every request of a long-lived engine.
      * @p build must be deterministic: concurrent executors share the
      * cache, so whoever builds first defines the value for everyone.

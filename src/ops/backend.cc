@@ -6,11 +6,14 @@
 namespace ngb {
 
 const KernelFn &
-Backend::kernelFor(OpKind k) const
+Backend::resolve(OpKind k, const Node *node, const Backend **owner) const
 {
     for (const Backend *b = this; b; b = b->fallback_)
-        if (const KernelFn *fn = b->reg_.find(k))
+        if (const KernelFn *fn = b->reg_.find(k, node)) {
+            if (owner)
+                *owner = b;
             return *fn;
+        }
     std::string chain = name_;
     for (const Backend *b = fallback_; b; b = b->fallback_)
         chain += " -> " + b->name_;
@@ -22,13 +25,17 @@ Backend::kernelFor(OpKind k) const
 std::vector<Tensor>
 Backend::evalTraced(const KernelContext &ctx) const
 {
+    const Backend *owner = this;
+    const KernelFn &kernel = kernelFor(ctx.node, &owner);
     obs::ScopedSpan span(obs::SpanKind::Node);
     obs::SpanEvent &ev = span.ev();
     ev.op = static_cast<int16_t>(ctx.node.kind);
     ev.cat = static_cast<int16_t>(ctx.node.category());
     ev.node = ctx.node.id;
     ev.fused = ctx.node.kind == OpKind::Fused;
-    ev.backend = name_.c_str();
+    // The tier whose kernel runs, not the requested backend: an op the
+    // requested backend does not override is served by its fallback.
+    ev.backend = owner->name_.c_str();
     if (ev.fused)
         ev.setLabel(ctx.node.name);
     if (!ctx.node.outShapes.empty())
@@ -47,7 +54,7 @@ Backend::evalTraced(const KernelContext &ctx) const
     obs::CounterScope counters(
         span.armed() ? &span.ev() : nullptr,
         ctx.node.id < 0 ? -1 : static_cast<int>(ctx.node.category()));
-    return kernelFor(ctx.node.kind)(ctx);
+    return kernel(ctx);
 }
 
 const Backend &
@@ -70,7 +77,6 @@ struct BuiltinBackend {
 
 constexpr BuiltinBackend kBuiltins[] = {
     {"reference", referenceBackend},
-    {"optimized", optimizedBackend},
     {"simd", simdBackend},
 };
 

@@ -22,12 +22,12 @@
  * optional fallback chain. Executors dispatch every node through the
  * active backend instead of a hard-wired switch, so kernel sets can be
  * swapped, compared, and selectively optimized: the "reference"
- * backend carries the straightforward kernels in src/ops, the
- * "optimized" backend overrides the hottest operators and falls back
- * to reference for everything else.
+ * backend carries the straightforward kernels in src/ops (the
+ * numerical oracle), the "simd" backend overrides the hottest
+ * operators and falls back to reference for everything else.
  *
  * Registration happens either at first-use time inside
- * referenceBackend()/optimizedBackend() (the built-ins) or by
+ * referenceBackend()/simdBackend() (the built-ins) or by
  * explicitly installing kernels into a caller-owned Backend
  * (registerKernel) — e.g. a test stubbing one operator while
  * inheriting the rest through the fallback chain.
@@ -148,25 +148,48 @@ singleOutput(Tensor t)
  */
 using PrepareFn = std::function<void(const Graph &, ParamStore &)>;
 
-/** A plain OpKind -> KernelFn table. */
+/**
+ * Optional per-node filter on a registered kernel. Returning false
+ * declines the node: lookup continues down the fallback chain, so a
+ * fast kernel that does not accelerate some static form of its op
+ * (an attribute, a rank) hands it to the tier that runs it, and the
+ * traced span names that tier. Runtime-only conditions (input
+ * contiguity, broadcasting) stay inside the kernel.
+ */
+using NodeFilter = bool (*)(const Node &);
+
+/** A plain OpKind -> KernelFn table (each entry optionally filtered). */
 class KernelRegistry
 {
   public:
     /** Install (or replace) the kernel for @p k. */
-    void add(OpKind k, KernelFn fn) { fns_[k] = std::move(fn); }
+    void add(OpKind k, KernelFn fn, NodeFilter accepts = nullptr)
+    {
+        fns_[k] = Entry{std::move(fn), accepts};
+    }
 
-    /** The kernel for @p k, or nullptr when not registered. */
-    const KernelFn *find(OpKind k) const
+    /**
+     * The kernel for @p k, or nullptr when not registered — or when
+     * @p node is given and the entry's filter declines it.
+     */
+    const KernelFn *find(OpKind k, const Node *node = nullptr) const
     {
         auto it = fns_.find(k);
-        return it != fns_.end() ? &it->second : nullptr;
+        if (it == fns_.end())
+            return nullptr;
+        const Entry &e = it->second;
+        return node && e.accepts && !e.accepts(*node) ? nullptr : &e.fn;
     }
 
     bool contains(OpKind k) const { return fns_.count(k) != 0; }
     size_t size() const { return fns_.size(); }
 
   private:
-    std::map<OpKind, KernelFn> fns_;
+    struct Entry {
+        KernelFn fn;
+        NodeFilter accepts;
+    };
+    std::map<OpKind, Entry> fns_;
 };
 
 /**
@@ -187,10 +210,11 @@ class Backend
     const std::string &name() const { return name_; }
     const Backend *fallback() const { return fallback_; }
 
-    /** Explicitly install a kernel for @p k in this backend. */
-    void registerKernel(OpKind k, KernelFn fn)
+    /** Explicitly install a kernel for @p k in this backend; a
+     *  non-null @p accepts restricts it to the nodes it accepts. */
+    void registerKernel(OpKind k, KernelFn fn, NodeFilter accepts = nullptr)
     {
-        reg_.add(k, std::move(fn));
+        reg_.add(k, std::move(fn), accepts);
     }
 
     /** True when THIS backend registers @p k (fallback not consulted). */
@@ -202,8 +226,24 @@ class Backend
     /**
      * Resolve the kernel for @p k through the fallback chain; throws
      * a descriptive error when no backend in the chain handles it.
+     * @p owner, when non-null, receives the backend in the chain whose
+     * registry holds the kernel — the tier that actually runs. Node
+     * filters are not consulted: this is the first kernel registered
+     * for @p k.
      */
-    const KernelFn &kernelFor(OpKind k) const;
+    const KernelFn &kernelFor(OpKind k,
+                              const Backend **owner = nullptr) const
+    {
+        return resolve(k, nullptr, owner);
+    }
+
+    /** As kernelFor(OpKind), skipping kernels whose filter declines
+     *  @p node — the lookup dispatch uses. */
+    const KernelFn &kernelFor(const Node &node,
+                              const Backend **owner = nullptr) const
+    {
+        return resolve(node.kind, &node, owner);
+    }
 
     /**
      * Dispatch one node evaluation through this backend. This is the
@@ -211,17 +251,18 @@ class Backend
      * also where the measured tracer AND the hardware-counter sampler
      * hook in: when both are off the guard inlines to two relaxed
      * loads and dispatch proceeds untouched; when on, the out-of-line
-     * traced path records a Node span (op kind, backend, fused flag,
-     * output numel, arena offset) and/or a CounterScope (counter
-     * payload + per-category aggregation) around the kernel. Fused
-     * kernels re-dispatch their members through ctx.backend, so member
-     * spans nest inside the group span with no extra plumbing.
+     * traced path records a Node span (op kind, the backend whose
+     * kernel ran, fused flag, output numel, arena offset) and/or a
+     * CounterScope (counter payload + per-category aggregation)
+     * around the kernel. Fused kernels re-dispatch their members
+     * through ctx.backend, so member spans nest inside the group span
+     * with no extra plumbing.
      */
     std::vector<Tensor> eval(const KernelContext &ctx) const
     {
         if (obs::traceEnabled() || obs::perfEnabled())
             return evalTraced(ctx);
-        return kernelFor(ctx.node.kind)(ctx);
+        return kernelFor(ctx.node)(ctx);
     }
 
     /** Install the per-graph warm-up hook. */
@@ -240,6 +281,9 @@ class Backend
     }
 
   private:
+    const KernelFn &resolve(OpKind k, const Node *node,
+                            const Backend **owner) const;
+
     /** Slow path of eval(): record a span around the kernel call. */
     std::vector<Tensor> evalTraced(const KernelContext &ctx) const;
 
@@ -253,19 +297,12 @@ class Backend
 const Backend &referenceBackend();
 
 /**
- * The optimized CPU backend: register-tiled GEMM family, fused bias
- * epilogues, single-pass normalization, and fast-path elementwise /
- * softmax kernels; falls back to reference for everything else.
- */
-const Backend &optimizedBackend();
-
-/**
- * The explicit-SIMD backend: AVX2/AVX-512/NEON vector kernels for the
- * GEMM family, layer norm, the simple elementwise ops, and the
- * executable int8 GEMM, selected by runtime CPU detection
- * (platform::activeIsa) and tile-tuned through the persistent
- * TuningCache; falls back to optimized per-op for everything else —
- * including everything, when dispatch resolves to scalar.
+ * The fast kernel tier: portable / AVX2 / AVX-512 / NEON kernels for
+ * the GEMM family (fused epilogues included), normalization, softmax,
+ * the element-wise and activation ops, and executable int8, selected
+ * by runtime CPU detection (platform::activeIsa) and tile-tuned
+ * through the persistent TuningCache; falls back to reference per-op
+ * for everything else (conv, pooling, layout, ...).
  */
 const Backend &simdBackend();
 

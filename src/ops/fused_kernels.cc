@@ -8,8 +8,8 @@
 #include <utility>
 
 #include "ops/kernels.h"
-#include "ops/optimized_kernels.h"
 #include "ops/scalar_ops.h"
+#include "ops/simd_backend.h"
 #include "quant/quant_kernels.h"
 #include "quant/weight_pack.h"
 #include "tensor/scratch.h"
@@ -19,15 +19,12 @@ namespace ngb {
 namespace {
 
 namespace sc = kernels::scalar;
-namespace ko = kernels::opt;
+namespace sd = kernels::sd;
 namespace qnt = kernels::qnt;
 
 /** ParamStore::derived slots used on fused member nodes. */
 constexpr size_t kFoldedWeightSlot = 0;
 constexpr size_t kFoldedBiasSlot = 1;
-
-using kernels::opt::asF32;
-using kernels::opt::fastF32;
 
 /** Context string for fused-chain errors. */
 std::string
@@ -39,8 +36,8 @@ chainName(const Node &f)
 
 /**
  * Map member @p m's kind to a single-pass unary stage, when it is one
- * of the point-wise operators whose optimized sweep uses the shared
- * scalar expressions (the bit-identity set). Binary Add/Mul (two
+ * of the point-wise operators whose simd sweep uses the shared scalar
+ * expressions (the bit-identity set). Binary Add/Mul (two
  * inputs) are not stages.
  */
 bool
@@ -119,7 +116,7 @@ externalInput(const KernelContext &c, const Node &m, size_t port)
  * Apply one stage over a block with a TIGHT per-kind loop: the switch
  * is hoisted out of the element loop and in/out are restrict-disjoint
  * (the caller ping-pongs scratch buffers), so cheap stages vectorize
- * exactly like the unfused optimized sweeps they replace — an
+ * exactly like the unfused sweeps they replace — an
  * in-place loop would fail the vectorizer's alias check and run
  * scalar, slower than the sweeps it fuses.
  */
@@ -251,9 +248,9 @@ const Tensor &
 foldedConvWeight(const Node &conv, const Node &bn, ParamStore &params)
 {
     return params.derived(conv, kFoldedWeightSlot, [&]() -> Tensor {
-        Tensor w = asF32(params.get(conv, 0));
-        Tensor gamma = asF32(params.get(bn, 0));
-        Tensor var = asF32(params.get(bn, 3));
+        Tensor w = toContiguousF32(params.get(conv, 0));
+        Tensor gamma = toContiguousF32(params.get(bn, 0));
+        Tensor var = toContiguousF32(params.get(bn, 3));
         float eps = static_cast<float>(bn.attrs.getF("eps", 1e-5));
         int64_t f = w.shape()[0];
         int64_t per = w.numel() / f;
@@ -279,15 +276,16 @@ const Tensor &
 foldedConvBias(const Node &conv, const Node &bn, ParamStore &params)
 {
     return params.derived(conv, kFoldedBiasSlot, [&]() -> Tensor {
-        Tensor gamma = asF32(params.get(bn, 0));
-        Tensor beta = asF32(params.get(bn, 1));
-        Tensor mean = asF32(params.get(bn, 2));
-        Tensor var = asF32(params.get(bn, 3));
+        Tensor gamma = toContiguousF32(params.get(bn, 0));
+        Tensor beta = toContiguousF32(params.get(bn, 1));
+        Tensor mean = toContiguousF32(params.get(bn, 2));
+        Tensor var = toContiguousF32(params.get(bn, 3));
         float eps = static_cast<float>(bn.attrs.getF("eps", 1e-5));
         int64_t f = gamma.numel();
         Tensor b0;
         if (conv.paramShapes.size() > 1)
-            b0 = asF32(params.get(conv, conv.paramShapes.size() - 1));
+            b0 = toContiguousF32(
+                params.get(conv, conv.paramShapes.size() - 1));
         Tensor out(Shape{f}, DType::F32);
         const float *pg = gamma.dataF32();
         const float *pb = beta.dataF32();
@@ -301,16 +299,6 @@ foldedConvBias(const Node &conv, const Node &bn, ParamStore &params)
             po[ff] = pb[ff] + ((p0 ? p0[ff] : 0.0f) - pm[ff]) * s;
         }
         return out;
-    });
-}
-
-/** Packed [K,N] weight of a Linear member (shared slot with the
- *  backend's top-level Linear packing convention: derived slot 0). */
-const Tensor &
-packedLinearWeight(const Node &lm, ParamStore &params)
-{
-    return params.derived(lm, 0, [&] {
-        return ko::packWeightTranspose(params.get(lm, 0));
     });
 }
 
@@ -424,15 +412,15 @@ evalFusedChain(const KernelContext &c, const Backend &memberBackend)
 }
 
 std::vector<Tensor>
-evalFusedOptimized(const KernelContext &c)
+evalFusedSimd(const KernelContext &c, const simd::SimdOps &ops)
 {
     const Node &f = c.node;
     const std::vector<Node> &body = f.fusedBody;
-    const Backend &active = c.backend ? *c.backend : optimizedBackend();
+    const Backend &active = c.backend ? *c.backend : simdBackend();
     if (body.empty())
         return evalFusedChain(c, active);  // throws the descriptive error
 
-    // CONV (+BN) (+ unary epilogue): one tiled-GEMM convolution. With
+    // CONV (+BN) (+ unary epilogue): one im2col GEMM convolution. With
     // a BN member the affine is pre-merged into weights/bias
     // (tolerance: the scale multiplies before the k accumulation
     // instead of after).
@@ -456,91 +444,68 @@ evalFusedOptimized(const KernelContext &c)
                 if (conv.paramShapes.size() > 1)
                     b = c.params.get(conv, conv.paramShapes.size() - 1);
             }
-            return singleOutput(ko::conv2dEpi(
-                x, w, b, static_cast<int>(conv.attrs.getI("stride")),
+            return singleOutput(sd::conv2dEpi(
+                ops, x, w, b, static_cast<int>(conv.attrs.getI("stride")),
                 static_cast<int>(conv.attrs.getI("padding")),
                 static_cast<int>(conv.attrs.getI("groups", 1)),
                 stages.data(), stages.size(), c.out(0), c.par));
         }
     }
 
-    // Int8Linear(requant) + unary epilogue: the whole quantized region
-    // tail — rescale, bias, and point-wise stages — runs inside the
-    // int8 GEMM's tile write-out. Bit-identical to the granular
-    // pipeline (i32 accumulation is order-exact, the epilogue is the
-    // shared scalar expression chain).
-    if (body[0].kind == OpKind::Int8Linear &&
-        body[0].attrs.getI("requant", 0) && body.size() > 1) {
-        std::vector<sc::UnaryStage> stages;
-        if (collectStages(body, 1, &stages)) {
-            const Node &lm = body[0];
-            const Tensor &xq = externalInput(c, lm, 0);
-            const Tensor &xs = externalInput(c, lm, 1);
-            Tensor b;
-            if (lm.paramShapes.size() > 1)
-                b = c.params.get(lm, lm.paramShapes.size() - 1);
-            return singleOutput(qnt::int8LinearPackedRequant(
-                xq, qnt::scaleValue(xs),
-                quant::packedWeight(lm, c.params),
-                quant::weightScales(lm, c.params), b, stages.data(),
-                stages.size(), c.out(0), c.par));
-        }
-    }
+    // GEMM head + unary epilogue: the stages run over each finished
+    // output macro-tile inside the GEMM's own shards. Bit-identical to
+    // the unfused GEMM followed by the member sweeps (same scalar
+    // expressions, same per-element order; int8 accumulation is
+    // exact).
+    const Node &head = body[0];
+    std::vector<sc::UnaryStage> stages;
+    const bool gemmEpilogue =
+        body.size() > 1 && collectStages(body, 1, &stages);
+    Tensor bias;
+    if (gemmEpilogue && head.paramShapes.size() > 1)
+        bias = c.params.get(head, head.paramShapes.size() - 1);
 
-    // Weight-only-int8 Linear + unary epilogue: tiled GEMM over the
-    // packed int8 weight with scale/bias/stages in the write-out.
-    if (body[0].kind == OpKind::Linear &&
-        body[0].attrs.getI("wq8", 0) && body.size() > 1) {
-        std::vector<sc::UnaryStage> stages;
-        if (collectStages(body, 1, &stages)) {
-            const Node &lm = body[0];
-            const Tensor &x = externalInput(c, lm, 0);
-            Tensor b;
-            if (lm.paramShapes.size() > 1)
-                b = c.params.get(lm, lm.paramShapes.size() - 1);
+    // Int8Linear(requant): the whole quantized region tail — rescale,
+    // bias, and point-wise stages.
+    if (gemmEpilogue && head.kind == OpKind::Int8Linear &&
+        head.attrs.getI("requant", 0))
+        return singleOutput(sd::int8LinearRequantEpi(
+            ops, externalInput(c, head, 0),
+            qnt::scaleValue(externalInput(c, head, 1)),
+            sd::int8Weight(ops, head, c.params),
+            quant::weightScales(head, c.params), bias, stages.data(),
+            stages.size(), c.out(0), c.par));
+
+    if (gemmEpilogue && head.kind == OpKind::Linear) {
+        const Tensor &x = externalInput(c, head, 0);
+        if (head.attrs.getI("wq8", 0))
+            // Weight-only int8: scale/bias/stages in the tile write-out.
             return singleOutput(qnt::w8LinearPacked(
-                x, quant::packedWeight(lm, c.params),
-                quant::weightScales(lm, c.params), b, stages.data(),
+                x, quant::packedWeight(head, c.params),
+                quant::weightScales(head, c.params), bias, stages.data(),
                 stages.size(), c.out(0), c.par));
-        }
-    }
-
-    // Linear + unary epilogue: stages fused into the GEMM tile
-    // write-out. Bit-identical to linearPacked + separate sweeps.
-    if (body[0].kind == OpKind::Linear &&
-        !body[0].attrs.getI("wq8", 0) && body.size() > 1) {
-        std::vector<sc::UnaryStage> stages;
-        if (collectStages(body, 1, &stages)) {
-            const Node &lm = body[0];
-            const Tensor &x = externalInput(c, lm, 0);
-            const Tensor &wt = packedLinearWeight(lm, c.params);
-            Tensor b;
-            if (lm.paramShapes.size() > 1)
-                b = c.params.get(lm, lm.paramShapes.size() - 1);
-            return singleOutput(ko::linearPackedEpi(
-                x, wt, b, stages.data(), stages.size(), c.out(0),
-                c.par));
-        }
+        return singleOutput(sd::linearPackedEpi(
+            ops, x, c.params.derived(head, 0, [&] {
+                return sd::packWeightTranspose(c.params.get(head, 0));
+            }),
+            bias, stages.data(), stages.size(), c.out(0), c.par));
     }
 
     // All-unary point-wise chain on contiguous F32 data: single pass
     // over the tensor (one read, one write for the whole chain, with
     // L1-blocked vectorizable stage loops). Bit-identical to the
-    // member-by-member optimized sweeps.
-    {
-        std::vector<sc::UnaryStage> stages;
-        if (collectStages(body, 0, &stages)) {
-            const Tensor &x = externalInput(c, body[0], 0);
-            if (fastF32(x))
-                return singleOutput(
-                    singlePassChain(x, stages, c.out(0)));
-        }
+    // member-by-member sweeps.
+    stages.clear();
+    if (collectStages(body, 0, &stages)) {
+        const Tensor &x = externalInput(c, head, 0);
+        if (x.dtype() == DType::F32 && x.isContiguous())
+            return singleOutput(singlePassChain(x, stages, c.out(0)));
     }
 
     // General case (normalizations, softmax, binary elementwise, Q/DQ,
     // layout members, BMM/MatMul heads, ...): interpret the chain
-    // through the active backend, so per-op optimized kernels still
-    // apply inside the group.
+    // through the active backend, so per-op kernels still apply inside
+    // the group.
     return evalFusedChain(c, active);
 }
 
@@ -548,28 +513,11 @@ void
 prepareFusedGroups(const Graph &g, ParamStore &params)
 {
     for (const Node &n : g.nodes()) {
-        if (n.kind != OpKind::Fused || n.fusedBody.empty())
-            continue;
         const std::vector<Node> &body = n.fusedBody;
-        if (body[0].kind == OpKind::Conv2d && body.size() > 1 &&
-            isFoldableBn(body[1].kind)) {
+        if (n.kind == OpKind::Fused && body.size() > 1 &&
+            body[0].kind == OpKind::Conv2d && isFoldableBn(body[1].kind)) {
             foldedConvWeight(body[0], body[1], params);
             foldedConvBias(body[0], body[1], params);
-        }
-        for (const Node &m : body) {
-            if (m.kind == OpKind::Linear && !m.paramShapes.empty()) {
-                if (m.attrs.getI("wq8", 0))
-                    quant::packedWeight(m, params);
-                else
-                    packedLinearWeight(m, params);
-            }
-            if (m.kind == OpKind::Int8Linear &&
-                m.attrs.getI("executable", 0))
-                quant::packedWeight(m, params);
-            if ((m.kind == OpKind::Quantize ||
-                 m.kind == OpKind::Dequantize) &&
-                m.attrs.getI("executable", 0) && !m.paramShapes.empty())
-                quant::weightScales(m, params);
         }
     }
 }

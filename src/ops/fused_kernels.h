@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "ops/backend.h"
+#include "platform/simd.h"
 
 /**
  * @file
@@ -18,17 +19,19 @@
  *    backend. This is the reference backend's Fused kernel and the
  *    universal fallback.
  *
- *  - evalFusedOptimized: the optimized backend's Fused kernel.
- *    CONV+BN(+act) triples run as ONE tiled-GEMM convolution with the
- *    BN affine pre-merged into the weights (ParamStore::derived,
- *    amortized per engine) and the activation applied in the tile
- *    write-out — numerics match the unfused chain to float tolerance
- *    (the affine merge reassociates the per-element scale). Linear +
- *    point-wise epilogues fuse into the GEMM write-out and all-unary
- *    point-wise chains run as a single-pass loop — both bit-identical
- *    to the unfused optimized kernels (same scalar expressions, same
- *    per-element order; see ops/scalar_ops.h). Everything else falls
- *    back to chain interpretation under the active backend.
+ *  - evalFusedSimd: the simd backend's Fused kernel, on the GEMM of
+ *    the backend's dispatch level. CONV+BN(+act) triples run as ONE
+ *    im2col GEMM convolution with the BN affine pre-merged into the
+ *    weights (ParamStore::derived, amortized per engine) and the
+ *    activation in the GEMM epilogue — numerics match the unfused
+ *    chain to float tolerance (the affine merge reassociates the
+ *    per-element scale). Linear / Int8Linear(requant) / weight-only
+ *    Linear + point-wise epilogues run the stages over each finished
+ *    output tile, and all-unary point-wise chains run as a single-pass
+ *    loop — both bit-identical to the unfused simd kernels (same
+ *    scalar expressions, same per-element order; see
+ *    ops/scalar_ops.h). Everything else falls back to chain
+ *    interpretation under the active backend.
  */
 
 namespace ngb {
@@ -42,14 +45,16 @@ namespace ngb {
 std::vector<Tensor> evalFusedChain(const KernelContext &c,
                                    const Backend &memberBackend);
 
-/** The optimized backend's Fused kernel (see file comment). */
-std::vector<Tensor> evalFusedOptimized(const KernelContext &c);
+/** The simd backend's Fused kernel at @p ops' level (see file
+ *  comment). */
+std::vector<Tensor> evalFusedSimd(const KernelContext &c,
+                                  const simd::SimdOps &ops);
 
 /**
- * Pre-build the derived state evalFusedOptimized memoizes — packed
- * Linear member weights and merged Conv+BN affines — so engine warm-up
- * pays the one-time cost instead of the first request. Called from the
- * optimized backend's prepare hook.
+ * Pre-build the merged Conv+BN affines evalFusedSimd memoizes, so
+ * engine warm-up pays the one-time cost instead of the first request.
+ * Called from the simd backend's prepare hook (which packs the member
+ * weights itself).
  */
 void prepareFusedGroups(const Graph &g, ParamStore &params);
 

@@ -17,7 +17,7 @@
  * fallback the dispatch registry resolves to for ops a backend does
  * not override. Host speed DOES matter now that the runtime and
  * serving layers execute these concretely — but fast variants belong
- * in the "optimized" backend (ops/optimized_kernels.h), not here;
+ * in the "simd" backend (ops/simd_backend.h), not here;
  * bench/micro_kernels tracks the per-op gap between the two.
  *
  * Destination passing: every allocating kernel takes a trailing

@@ -6,11 +6,11 @@
 
 /**
  * @file
- * Per-element float expressions shared by the optimized element-wise
- * sweeps, the fused single-pass chain loop, and the GEMM-epilogue
- * write-out. Sharing the literal expression — not just the semantics —
- * is what makes fused execution bit-identical to unfused execution
- * under the optimized backend: a chain applied one stage per element
+ * Per-element float expressions shared by the simd backend's
+ * element-wise sweeps, the fused single-pass chain loop, and the
+ * GEMM epilogues. Sharing the literal expression — not just the
+ * semantics — is what makes fused execution bit-identical to unfused
+ * execution under the simd backend: a chain applied one stage per element
  * evaluates exactly the float ops the member-by-member sweeps would.
  * The expressions also match the reference kernels in
  * elementwise_kernels.cc (asserted by the backend differential tests).
@@ -58,7 +58,7 @@ expOp(float v)
 
 /**
  * One unary point-wise stage of a fused chain. The set is exactly the
- * operators the optimized backend overrides with these expressions, so
+ * operators the simd backend overrides with these expressions, so
  * a single-pass loop over stages stays bit-identical to the unfused
  * sweeps; chains containing anything else fall back to member-by-member
  * interpretation.

@@ -109,17 +109,32 @@ applyEnvOverrideOnce()
             std::fprintf(stderr, "NGB_ISA: %s (ignored)\n", e.what());
             return;
         }
-        IsaLevel best = detectIsa();
-        if (want > best) {
+        IsaLevel got = clampIsa(want);
+        if (got != want)
             std::fprintf(stderr,
-                         "NGB_ISA=%s exceeds host/build support; "
+                         "NGB_ISA=%s not supported on this host/build; "
                          "clamping to %s\n",
-                         env, isaName(best));
-            want = best;
-        }
+                         env, isaName(got));
         gHaveOverride = true;
-        gOverride = want;
+        gOverride = got;
     });
+}
+
+/**
+ * @p level, or the nearest level below it whose kernels were compiled
+ * in. Neon and the x86 levels each degrade to Scalar, whose portable
+ * table always exists.
+ */
+IsaLevel
+compiledAtOrBelow(IsaLevel level)
+{
+    while (level != IsaLevel::Scalar && !simd::simdOpsFor(level)) {
+        if (level == IsaLevel::Neon)
+            level = IsaLevel::Scalar;
+        else
+            level = static_cast<IsaLevel>(static_cast<int>(level) - 1);
+    }
+    return level;
 }
 
 }  // namespace
@@ -180,20 +195,17 @@ detectHardwareIsa()
 IsaLevel
 detectIsa()
 {
-    static const IsaLevel level = [] {
-        IsaLevel hw = detectHardwareIsa();
-        // Clamp to the levels whose kernels were compiled in; a build
-        // without the per-ISA flags degrades cleanly to Scalar (the
-        // simd backend then registers nothing and falls back).
-        while (hw != IsaLevel::Scalar && !simd::simdOpsFor(hw)) {
-            if (hw == IsaLevel::Neon)
-                hw = IsaLevel::Scalar;
-            else
-                hw = static_cast<IsaLevel>(static_cast<int>(hw) - 1);
-        }
-        return hw;
-    }();
+    // Clamp to the levels whose kernels were compiled in; a build
+    // without the per-ISA flags degrades to Scalar, where the simd
+    // backend runs its portable kernels.
+    static const IsaLevel level = compiledAtOrBelow(detectHardwareIsa());
     return level;
+}
+
+IsaLevel
+clampIsa(IsaLevel want)
+{
+    return compiledAtOrBelow(want > detectIsa() ? detectIsa() : want);
 }
 
 bool
@@ -229,11 +241,16 @@ activeIsa()
 void
 setActiveIsa(IsaLevel level)
 {
-    if (level > detectIsa())
-        throw std::runtime_error(
-            std::string("--isa ") + isaName(level) +
-            " not supported on this host/build (best: " +
-            isaName(detectIsa()) + ")");
+    if (clampIsa(level) != level) {
+        std::string supported;
+        for (IsaLevel l : supportedIsaLevels())
+            supported += std::string(supported.empty() ? "" : ", ") +
+                         isaName(l);
+        throw std::runtime_error(std::string("--isa ") + isaName(level) +
+                                 " not supported on this host/build "
+                                 "(supported: " +
+                                 supported + ")");
+    }
     applyEnvOverrideOnce();
     std::lock_guard<std::mutex> lock(gIsaMutex);
     gHaveOverride = true;
@@ -255,14 +272,11 @@ setActiveIsaName(const std::string &name)
 std::vector<IsaLevel>
 supportedIsaLevels()
 {
-    std::vector<IsaLevel> levels{IsaLevel::Scalar};
-    IsaLevel best = detectIsa();
-    if (best == IsaLevel::Neon)
-        levels.push_back(IsaLevel::Neon);
-    if (best >= IsaLevel::Avx2)
-        levels.push_back(IsaLevel::Avx2);
-    if (best >= IsaLevel::Avx512)
-        levels.push_back(IsaLevel::Avx512);
+    std::vector<IsaLevel> levels;
+    for (IsaLevel l : {IsaLevel::Scalar, IsaLevel::Neon, IsaLevel::Avx2,
+                       IsaLevel::Avx512})
+        if (clampIsa(l) == l)
+            levels.push_back(l);
     return levels;
 }
 

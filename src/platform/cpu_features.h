@@ -18,24 +18,27 @@
  * downstream — kernel registration, tuning-cache keys, EngineKey —
  * reads activeIsa(), so one knob moves the whole stack.
  *
- * Override semantics: forcing a LOWER level than the host supports is
- * always allowed (that is how CI runs the forced-scalar dispatch leg
- * on AVX-512 runners); forcing a HIGHER level than the host (or the
- * build) supports is a loud error from setActiveIsa, and a clamp with
- * a stderr warning when it comes from the ambient $NGB_ISA.
+ * Override semantics: forcing any level in supportedIsaLevels() is
+ * allowed (that is how CI runs the forced-scalar dispatch leg on
+ * AVX-512 runners); forcing a level the host or the build cannot
+ * dispatch to — one above detectIsa(), or neon on x86 and avx2/avx512
+ * on aarch64 — is a loud error from setActiveIsa, and a clamp
+ * (clampIsa) with a stderr warning when it comes from the ambient
+ * $NGB_ISA.
  */
 
 namespace ngb {
 namespace platform {
 
 /**
- * Vector dispatch levels, ordered: a host that supports level L
- * supports every numerically-lower level too (Neon and Avx2 are
- * mutually exclusive in practice, but each degrades to Scalar).
+ * Vector dispatch levels, ordered within an architecture: an x86 host
+ * at Avx512 also runs Avx2, and every host runs Scalar. Neon and the
+ * x86 levels are mutually exclusive; each degrades to Scalar
+ * (clampIsa).
  */
 enum class IsaLevel : int {
-    Scalar = 0,  ///< no explicit SIMD: the simd backend registers
-                 ///< nothing and every op falls through the chain
+    Scalar = 0,  ///< no explicit SIMD: the simd backend runs its
+                 ///< portable (baseline-flags) kernels
     Neon = 1,    ///< aarch64 ASIMD (+ sdot when the CPU has DOTPROD)
     Avx2 = 2,    ///< x86 AVX2 + FMA, 8-wide f32
     Avx512 = 3,  ///< x86 AVX-512 F/BW/VL/DQ, 16-wide f32 (+ VNNI)
@@ -65,16 +68,23 @@ bool hasVnni();
 bool hasDotprod();
 
 /**
+ * Nearest level at or below @p want that this host/build can dispatch
+ * to: @p want itself when it is in supportedIsaLevels().
+ */
+IsaLevel clampIsa(IsaLevel want);
+
+/**
  * The dispatch level in effect: the $NGB_ISA override (validated and
- * clamped to detectIsa() with a stderr warning on over-ask) when set,
- * else detectIsa().
+ * clamped with clampIsa() and a stderr warning when unsupported) when
+ * set, else detectIsa().
  */
 IsaLevel activeIsa();
 
 /**
  * Force the dispatch level for this process (the --isa flag and the
- * per-level tests). Throws when @p level exceeds detectIsa() — a
- * forced level must actually run on this host/build.
+ * per-level tests). Throws when @p level is not in
+ * supportedIsaLevels() — a forced level must actually run on this
+ * host/build.
  */
 void setActiveIsa(IsaLevel level);
 

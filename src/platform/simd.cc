@@ -17,9 +17,9 @@ simdOpsFor(platform::IsaLevel level)
     case platform::IsaLevel::Avx512: return simdOpsAvx512();
     case platform::IsaLevel::Avx2: return simdOpsAvx2();
     case platform::IsaLevel::Neon: return simdOpsNeon();
-    case platform::IsaLevel::Scalar: return nullptr;
+    case platform::IsaLevel::Scalar: return simdOpsPortable();
     }
-    return nullptr;
+    return simdOpsPortable();
 }
 
 const std::vector<TileConfig> &
@@ -40,7 +40,11 @@ gemmTileCandidates(platform::IsaLevel level)
     static const std::vector<TileConfig> kNeon = {
         {4, 2, 0}, {6, 2, 0}, {4, 4, 0}, {8, 2, 0}, {4, 2, 256},
     };
-    static const std::vector<TileConfig> kScalar = {{4, 2, 0}};
+    // Portable: one 16-float register per row, so {4, 1} is the 4x16
+    // register tile.
+    static const std::vector<TileConfig> kScalar = {
+        {4, 1, 0}, {8, 1, 0}, {6, 1, 0}, {2, 2, 0}, {4, 1, 256},
+    };
     switch (level) {
     case platform::IsaLevel::Avx512: return kAvx512;
     case platform::IsaLevel::Avx2: return kAvx2;
@@ -54,11 +58,12 @@ const std::vector<TileConfig> &
 int8TileCandidates(platform::IsaLevel level)
 {
     // Only the row block varies for the int8 kernels (columns are
-    // pinned to the dot-product register shape).
+    // pinned to the dot-product register shape); the portable core has
+    // one fixed 4x16 tile, so there is nothing to tune.
     static const std::vector<TileConfig> kRows = {
         {4, 0, 0}, {2, 0, 0}, {8, 0, 0}};
-    (void)level;
-    return kRows;
+    static const std::vector<TileConfig> kPortable = {{4, 0, 0}};
+    return level == platform::IsaLevel::Scalar ? kPortable : kRows;
 }
 
 void

@@ -8,38 +8,38 @@
 
 /**
  * @file
- * The explicit-SIMD shim: one vector-register abstraction, three
- * instruction sets behind it.
+ * The explicit-SIMD shim: one vector-register abstraction, four levels
+ * behind it.
  *
- * Each ISA lives in its own translation unit (simd_avx2.cc,
- * simd_avx512.cc, simd_neon.cc) compiled with that ISA's flags only
- * for that file; the kernel BODIES are shared templates over a small
- * vector-register concept (simd_kernels_inl.h), so AVX2, AVX-512 and
- * NEON run the same algorithm at different widths. A TU whose ISA the
- * compiler cannot target compiles to a stub returning nullptr, and
- * the runtime dispatcher (simdOpsFor + platform::activeIsa) clamps to
- * what is actually compiled in — so one binary carries every level it
- * can and degrades per-op through the Backend fallback chain
- * everywhere else.
+ * Each level lives in its own translation unit (simd_portable.cc,
+ * simd_avx2.cc, simd_avx512.cc, simd_neon.cc) compiled with that
+ * level's flags only for that file; the kernel BODIES are shared
+ * templates over a small vector-register concept (simd_kernels_inl.h),
+ * so every level runs the same algorithm at a different width. The
+ * portable level (IsaLevel::Scalar) is a 16-float plain array at
+ * baseline flags and always exists; a hardware TU whose ISA the
+ * compiler cannot target compiles to a stub returning nullptr, and the
+ * runtime dispatcher (simdOpsFor + platform::activeIsa) clamps to what
+ * is actually compiled in.
  *
  * Numerics contract (what the differential tests assert):
  *  - gemmF32 keeps ONE accumulator per output element and walks k
- *    ascending with single-rounded fused multiply-adds (vector FMA in
- *    the panels, std::fmaf in the tails). Results are therefore
- *    deterministic and IDENTICAL across every TileConfig the
- *    autotuner may pick — tiling moves loop boundaries, never the
- *    per-element operation sequence — but differ from the
- *    mul-then-add optimized/reference GEMM by FMA rounding: compare
- *    with closeDifference.
- *  - gemmI8 accumulates in exact i32, so VNNI, sdot, and the widening
- *    paths all produce bit-identical accumulators to the scalar int8
- *    kernels (PR 8's contract extends to SIMD unchanged).
+ *    ascending through the level's fma (vector FMA in the panels,
+ *    V::fmaScalar in the tails). Results are therefore deterministic
+ *    and IDENTICAL across every TileConfig the autotuner may pick and
+ *    every intra-op thread count — tiling and sharding move loop
+ *    boundaries, never the per-element operation sequence.
+ *  - The hardware levels round each step once (fused multiply-add);
+ *    the portable level multiplies then adds (two roundings, like the
+ *    reference kernels). Levels therefore differ from each other and
+ *    from the reference by FMA rounding: compare with closeDifference.
+ *  - gemmI8 accumulates in exact i32, so VNNI, sdot, the widening
+ *    paths and the portable 4x16 core all produce bit-identical
+ *    accumulators to the naive int8 kernels.
  *  - relu / addScalar / mulScalar / binaryOp evaluate the same float
- *    expression per element as the scalar kernels: bit-identical.
+ *    expression per element as the reference kernels: bit-identical.
  *  - layerNormRows uses vector-reduced two-pass moments: the
- *    reduction tree differs from both the reference two-pass and the
- *    optimized Welford sweep — tolerance, like optimized-vs-reference
- *    already is.
+ *    reduction tree differs from the reference two-pass — tolerance.
  */
 
 namespace ngb {
@@ -61,12 +61,13 @@ struct TileConfig {
 };
 
 /**
- * The per-ISA kernel table. Raw-pointer kernels on contiguous F32/I8
+ * The per-level kernel table. Raw-pointer kernels on contiguous F32/I8
  * data; the simd backend (src/ops/simd_backend.cc) owns tensor
  * plumbing, layout packing, and fallback decisions.
  */
 struct SimdOps {
-    const char *name;              ///< "avx2" / "avx512" / "neon"
+    const char *name;              ///< "scalar" / "avx2" / "avx512" /
+                                   ///< "neon" (the isaName)
     platform::IsaLevel level;
     int vectorWidthF32;            ///< f32 lanes per register
     bool int8Dot;                  ///< gemmI8 wants the dot-interleaved
@@ -112,13 +113,17 @@ struct SimdOps {
                           int64_t d, float *out);
 };
 
+/** The portable table (baseline flags; never null). */
+const SimdOps *simdOpsPortable();
+
 /** Per-ISA tables; nullptr when that TU was compiled without its ISA
  *  (missing compiler support) — dispatch clamps around the gap. */
 const SimdOps *simdOpsAvx2();
 const SimdOps *simdOpsAvx512();
 const SimdOps *simdOpsNeon();
 
-/** Table for @p level, nullptr for Scalar or a not-compiled level. */
+/** Table for @p level: the portable table for Scalar, nullptr for a
+ *  hardware level whose TU was not compiled in. */
 const SimdOps *simdOpsFor(platform::IsaLevel level);
 
 /**

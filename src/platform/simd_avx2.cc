@@ -31,6 +31,10 @@ struct V8 {
     static R div(R a, R b) { return _mm256_div_ps(a, b); }
     static R max(R a, R b) { return _mm256_max_ps(a, b); }
     static R fma(R a, R b, R c) { return _mm256_fmadd_ps(a, b, c); }
+    static float fmaScalar(float a, float b, float c)
+    {
+        return std::fmaf(a, b, c);
+    }
     static float reduceAdd(R v)
     {
         __m128 lo = _mm256_castps256_ps128(v);

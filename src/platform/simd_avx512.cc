@@ -41,6 +41,10 @@ struct V16 {
     static R div(R a, R b) { return _mm512_div_ps(a, b); }
     static R max(R a, R b) { return _mm512_max_ps(a, b); }
     static R fma(R a, R b, R c) { return _mm512_fmadd_ps(a, b, c); }
+    static float fmaScalar(float a, float b, float c)
+    {
+        return std::fmaf(a, b, c);
+    }
     static float reduceAdd(R v) { return _mm512_reduce_add_ps(v); }
 };
 

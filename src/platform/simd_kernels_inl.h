@@ -9,9 +9,9 @@
 /**
  * @file
  * The shared SIMD kernel bodies: templates over a vector-register
- * concept V, included ONLY by the per-ISA translation units (each
- * compiled with its own ISA flags), so one algorithm serves AVX2,
- * AVX-512 and NEON at their native widths.
+ * concept V, included ONLY by the per-level translation units (each
+ * compiled with its own ISA flags), so one algorithm serves the
+ * portable level, AVX2, AVX-512 and NEON at their native widths.
  *
  * The V concept:
  *   static constexpr int W;          // f32 lanes
@@ -21,14 +21,19 @@
  *   static R    broadcast(float);
  *   static R    zero();
  *   static R    add(R, R), sub(R, R), mul(R, R), div(R, R), max(R, R);
- *   static R    fma(R a, R b, R c);  // a*b + c, single rounding
+ *   static R    fma(R a, R b, R c);  // a*b + c
+ *   static float fmaScalar(float a, float b, float c);  // same, 1 lane
  *   static float reduceAdd(R);
+ *
+ * fma and fmaScalar must round identically: single-rounded on the
+ * hardware levels (vector FMA / std::fmaf), mul-then-add on the
+ * portable level (std::fmaf is a libm call at baseline flags).
  *
  * Numerics: see the contract in simd.h. Every f32 GEMM path below —
  * wide panels, single-vector columns, scalar tails — performs the
- * identical per-element sequence (k-ascending single-rounded FMA into
- * one accumulator, then one bias add), so results do not depend on
- * the tile configuration or on where an element falls relative to a
+ * identical per-element sequence (k-ascending V::fma chain into one
+ * accumulator, then one bias add), so results do not depend on the
+ * tile configuration or on where an element falls relative to a
  * vector boundary.
  */
 
@@ -57,11 +62,15 @@ gemmPanel(const float *A, int64_t lda, const float *B, int64_t ldb,
         typename V::R bv[NV];
         for (int v = 0; v < NV; ++v)
             bv[v] = V::load(B + k * ldb + j + v * V::W);
-        for (int r = 0; r < MR; ++r) {
-            typename V::R av = V::broadcast(A[(i + r) * lda + k]);
+        // Broadcasts first, then a loop of nothing but fmas: with a
+        // plain-array register (the portable level) a broadcast inside
+        // the fma loop keeps the accumulators in memory (~7x slower).
+        typename V::R av[MR];
+        for (int r = 0; r < MR; ++r)
+            av[r] = V::broadcast(A[(i + r) * lda + k]);
+        for (int r = 0; r < MR; ++r)
             for (int v = 0; v < NV; ++v)
-                acc[r][v] = V::fma(av, bv[v], acc[r][v]);
-        }
+                acc[r][v] = V::fma(av[r], bv[v], acc[r][v]);
     }
     if (last && bias)
         for (int v = 0; v < NV; ++v) {
@@ -75,7 +84,7 @@ gemmPanel(const float *A, int64_t lda, const float *B, int64_t ldb,
 }
 
 /** Scalar column tail: same fma chain, one column at a time. */
-template <int MR>
+template <class V, int MR>
 inline void
 gemmScalarCols(const float *A, int64_t lda, const float *B, int64_t ldb,
                float *C, int64_t ldc, int64_t i, int64_t j, int64_t jEnd,
@@ -87,7 +96,7 @@ gemmScalarCols(const float *A, int64_t lda, const float *B, int64_t ldb,
             const float *a = A + (i + r) * lda;
             float acc = first ? 0.0f : C[(i + r) * ldc + jj];
             for (int64_t k = k0; k < k1; ++k)
-                acc = std::fmaf(a[k], B[k * ldb + jj], acc);
+                acc = V::fmaScalar(a[k], B[k * ldb + jj], acc);
             if (last && bias)
                 acc += bias[jj];
             C[(i + r) * ldc + jj] = acc;
@@ -115,8 +124,8 @@ gemmRowBand(const float *A, int64_t lda, const float *B, int64_t ldb,
     for (; j + V::W <= N; j += V::W)
         gemmPanel<V, MR, 1>(A, lda, B, ldb, C, ldc, i, j, k0, k1, bias,
                             first, last);
-    gemmScalarCols<MR>(A, lda, B, ldb, C, ldc, i, j, N, k0, k1, bias,
-                       first, last);
+    gemmScalarCols<V, MR>(A, lda, B, ldb, C, ldc, i, j, N, k0, k1, bias,
+                          first, last);
 }
 
 /**
@@ -256,8 +265,7 @@ binaryOpTmpl(int op, const float *a, const float *b, float *out,
 /**
  * Row-wise layer norm, vector-reduced two-pass moments. The lane
  * reduction reassociates the sums (unlike the reference's scalar
- * two-pass and the optimized backend's Welford sweep), so this is a
- * tolerance kernel by design — same as optimized-vs-reference.
+ * two-pass), so this is a tolerance kernel by design.
  */
 template <class V>
 void
@@ -286,7 +294,7 @@ layerNormRowsTmpl(const float *x, const float *gamma, const float *beta,
         s2 = V::reduceAdd(v2);
         for (; j < d; ++j) {
             const float dv = xr[j] - mean;
-            s2 = std::fmaf(dv, dv, s2);
+            s2 = V::fmaScalar(dv, dv, s2);
         }
         const float inv =
             1.0f / std::sqrt(s2 / static_cast<float>(d) + eps);

@@ -35,6 +35,10 @@ struct V4 {
     static R div(R a, R b) { return vdivq_f32(a, b); }
     static R max(R a, R b) { return vmaxq_f32(a, b); }
     static R fma(R a, R b, R c) { return vfmaq_f32(c, a, b); }
+    static float fmaScalar(float a, float b, float c)
+    {
+        return std::fmaf(a, b, c);
+    }
     static float reduceAdd(R v) { return vaddvq_f32(v); }
 };
 

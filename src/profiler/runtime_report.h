@@ -19,7 +19,7 @@ void printRuntimeReport(const RuntimeProfile &p, std::ostream &os);
 
 /**
  * Side-by-side per-category attribution of two measured runs of the
- * SAME graph under two kernel backends (e.g. reference vs optimized):
+ * SAME graph under two kernel backends (e.g. reference vs simd):
  * per-category kernel time, each backend's GEMM / non-GEMM share, and
  * the per-category speedup — the paper's Figure 6 experiment repeated
  * across backends, showing how the split shifts as kernels get

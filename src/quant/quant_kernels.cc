@@ -15,67 +15,8 @@ namespace qnt {
 
 namespace {
 
-// Same register-tile geometry as the f32 GEMM core
-// (opt::matmulCoreEpi): the int8 core differs only in operand width
-// and the i32 accumulator type.
 constexpr int64_t kMR = 4;   ///< output rows per register tile
 constexpr int64_t kNR = 16;  ///< output cols per register tile
-
-/**
- * i32 accumulator tile loop over A[M,K] i8 @ B[K,N] i8, mirroring
- * matmulCoreEpi's 4x16 structure (k-ascending, no reassociation, B row
- * loaded once per four output rows). @p finish maps (row, col, i32
- * accumulator) to the stored value; i32 accumulation is exact, so
- * every path that reaches the same @p finish expression is
- * bit-identical regardless of summation order.
- */
-template <class StoreT, class FinishFn>
-void
-int8TileLoop(const int8_t *A, const int8_t *B, StoreT *C, int64_t M,
-             int64_t K, int64_t N, FinishFn finish)
-{
-    int64_t i = 0;
-    for (; i + kMR <= M; i += kMR) {
-        int64_t j = 0;
-        for (; j + kNR <= N; j += kNR) {
-            int32_t acc[kMR][kNR] = {};
-            for (int64_t k = 0; k < K; ++k) {
-                const int8_t *brow = B + k * N + j;
-                int32_t av[kMR];
-                for (int64_t r = 0; r < kMR; ++r)
-                    av[r] = A[(i + r) * K + k];
-                for (int64_t jj = 0; jj < kNR; ++jj) {
-                    int32_t bv = brow[jj];
-                    for (int64_t r = 0; r < kMR; ++r)
-                        acc[r][jj] += av[r] * bv;
-                }
-            }
-            for (int64_t r = 0; r < kMR; ++r) {
-                StoreT *crow = C + (i + r) * N + j;
-                for (int64_t jj = 0; jj < kNR; ++jj)
-                    crow[jj] = finish(j + jj, acc[r][jj]);
-            }
-        }
-        for (; j < N; ++j) {  // N tail: kMR scalar dot products
-            for (int64_t r = 0; r < kMR; ++r) {
-                int32_t acc = 0;
-                for (int64_t k = 0; k < K; ++k)
-                    acc += static_cast<int32_t>(A[(i + r) * K + k]) *
-                           static_cast<int32_t>(B[k * N + j]);
-                C[(i + r) * N + j] = finish(j, acc);
-            }
-        }
-    }
-    for (; i < M; ++i) {  // M tail: one row at a time, scalar dots
-        for (int64_t j = 0; j < N; ++j) {
-            int32_t acc = 0;
-            for (int64_t k = 0; k < K; ++k)
-                acc += static_cast<int32_t>(A[i * K + k]) *
-                       static_cast<int32_t>(B[k * N + j]);
-            C[i * N + j] = finish(j, acc);
-        }
-    }
-}
 
 /**
  * f32-accumulator tile loop for the weight-only kernels: A is f32, B
@@ -131,16 +72,16 @@ w8TileLoop(const float *A, const int8_t *B, float *C, int64_t M,
     }
 }
 
-/// Below this the sharding overhead exceeds the int8 GEMM itself
-/// (same threshold as the f32 core in optimized_kernels.cc).
+/// Below this the sharding overhead exceeds the GEMM itself (same
+/// threshold as the simd GEMMs).
 constexpr int64_t kParMinFlops = 1 << 17;
 
 /**
  * Run @p body(i0, rows) over kMR-aligned row blocks of [0,M), through
- * @p par when profitable, serially otherwise. Rows of an int8 GEMM are
- * independent — exact i32 sums, or per-row k-ascending f32 chains for
- * the weight-only kernels — so any row partition is bit-identical to
- * the serial sweep; the K reduction is never split. One block per
+ * @p par when profitable, serially otherwise. Rows of the weight-only
+ * GEMM are independent per-row k-ascending f32 chains, so any row
+ * partition is bit-identical to the serial sweep; the K reduction is
+ * never split. One block per
  * worker: the packed kernels have no panel-packing stage, so finer
  * grains would only add task overhead.
  */
@@ -353,60 +294,6 @@ int8LinearRequant(const Tensor &xq, float xScale, const Tensor &wq,
             po[i * n + j] = scalar::applyStages(stages, nStages, v);
         }
     }
-    return out;
-}
-
-Tensor
-int8AccLinearPacked(const Tensor &xq, const Tensor &wtq, Tensor dst,
-                    const ParallelRegion *par)
-{
-    if (wtq.shape().rank() != 2)
-        throw std::runtime_error("int8AccLinearPacked: [K,N] weight "
-                                 "required");
-    int64_t k = wtq.shape()[0], n = wtq.shape()[1];
-    int64_t m = rowsOf(xq, k, "int8AccLinearPacked");
-    Tensor xc = toContiguous(xq);
-    Tensor out =
-        claimOut(std::move(dst), withTrailing(xq.shape(), n), DType::I32);
-    const int8_t *px = xc.dataI8();
-    const int8_t *pw = wtq.dataI8();
-    int32_t *po = out.dataI32();
-    shardRows(par, m, k, n, [&](int64_t i0, int64_t rows) {
-        int8TileLoop(px + i0 * k, pw, po + i0 * n, rows, k, n,
-                     [](int64_t, int32_t acc) { return acc; });
-    });
-    return out;
-}
-
-Tensor
-int8LinearPackedRequant(const Tensor &xq, float xScale, const Tensor &wtq,
-                        const Tensor &wScales, const Tensor &bias,
-                        const scalar::UnaryStage *stages, size_t nStages,
-                        Tensor dst, const ParallelRegion *par)
-{
-    if (wtq.shape().rank() != 2)
-        throw std::runtime_error("int8LinearPackedRequant: [K,N] weight "
-                                 "required");
-    int64_t k = wtq.shape()[0], n = wtq.shape()[1];
-    int64_t m = rowsOf(xq, k, "int8LinearPackedRequant");
-    requireScales(wScales, n, "int8LinearPackedRequant");
-    const float *pb = biasPtrOf(bias, n, "int8LinearPackedRequant");
-    const float *ps = wScales.dataF32();
-    Tensor xc = toContiguous(xq);
-    Tensor out =
-        claimOut(std::move(dst), withTrailing(xq.shape(), n), DType::F32);
-    const int8_t *px = xc.dataI8();
-    const int8_t *pw = wtq.dataI8();
-    float *po = out.dataF32();
-    shardRows(par, m, k, n, [&](int64_t i0, int64_t rows) {
-        int8TileLoop(px + i0 * k, pw, po + i0 * n, rows, k, n,
-                     [&](int64_t col, int32_t acc) {
-                         float v = requantOne(acc, xScale, ps[col]);
-                         if (pb)
-                             v += pb[col];
-                         return scalar::applyStages(stages, nStages, v);
-                     });
-    });
     return out;
 }
 

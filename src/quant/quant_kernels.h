@@ -10,14 +10,14 @@
 
 /**
  * @file
- * Executable int8 GEMM kernels: i8 x i8 -> i32 accumulation with the
- * requantize step fused into the 4x16 tile write-out epilogue, plus
+ * Executable int8 kernels: the naive i8 x i8 -> i32 reference GEMMs,
  * the dynamic activation quantization and granular requantize kernels
- * the unfused Q -> Int8Linear -> DQ pipeline runs.
+ * the unfused Q -> Int8Linear -> DQ pipeline runs, and the weight-only
+ * linears. The fast int8 GEMM is the simd backend's gemmI8.
  *
  * Bit-identity contract: i32 accumulation is exact (no rounding), so
- * the tiled packed kernels and the naive row-layout kernels produce
- * the SAME accumulators in any summation order; both then evaluate the
+ * every int8 GEMM (naive here, any simd level) produces the SAME
+ * accumulators in any summation order; all of them then evaluate the
  * single shared float epilogue expression (requantOne + bias +
  * scalar::applyStages). int8 execution is therefore bit-identical
  * across backends, runtimes, and fused-vs-granular graph forms — the
@@ -97,33 +97,6 @@ Tensor int8LinearRequant(const Tensor &xq, float xScale, const Tensor &wq,
                          const scalar::UnaryStage *stages, size_t nStages,
                          Tensor dst = {});
 
-// ----- packed tiled kernels ([K,N] weights from packWeightInt8) ----------
-//
-// The packed entries take an optional ParallelRegion. Null (the
-// default) runs the unchanged serial tile loop; a region shards the
-// output into row blocks across the pool workers. Rows are independent
-// (exact i32 sums, or per-row k-ascending f32 chains for weight-only),
-// so any row partition is bit-identical to the serial sweep — the K
-// reduction is never split.
-
-/** Tiled i8 GEMM -> raw i32 accumulators (packed [K,N] weight). */
-Tensor int8AccLinearPacked(const Tensor &xq, const Tensor &wtq,
-                           Tensor dst = {},
-                           const ParallelRegion *par = nullptr);
-
-/**
- * The fused int8 GEMM: 4x16 register-tiled i8 x i8 -> i32 core with
- * the requantize rescale, the bias, and the point-wise @p stages fused
- * into the tile write-out epilogue. This is the kernel behind
- * Int8Linear-headed fused groups under the optimized backend.
- */
-Tensor int8LinearPackedRequant(const Tensor &xq, float xScale,
-                               const Tensor &wtq, const Tensor &wScales,
-                               const Tensor &bias,
-                               const scalar::UnaryStage *stages,
-                               size_t nStages, Tensor dst = {},
-                               const ParallelRegion *par = nullptr);
-
 // ----- weight-only int8 (f32 activations, int8 weights) ------------------
 
 /** Naive weight-only linear: f32 x times int8 [N,K] weight,
@@ -132,8 +105,13 @@ Tensor int8LinearPackedRequant(const Tensor &xq, float xScale,
 Tensor w8Linear(const Tensor &x, const Tensor &wq, const Tensor &wScales,
                 const Tensor &bias, Tensor dst = {});
 
-/** Tiled weight-only linear over a packed [K,N] int8 weight with the
- *  scale/bias/stages epilogue fused into the tile write-out. */
+/**
+ * Tiled weight-only linear over a packed [K,N] int8 weight (from
+ * packWeightInt8) with the scale/bias/stages epilogue fused into the
+ * 4x16 tile write-out. An optional ParallelRegion shards the output
+ * into row blocks; rows are independent k-ascending f32 chains, so the
+ * result is bit-identical at every thread count.
+ */
 Tensor w8LinearPacked(const Tensor &x, const Tensor &wtq,
                       const Tensor &wScales, const Tensor &bias,
                       const scalar::UnaryStage *stages, size_t nStages,

@@ -64,7 +64,7 @@ Tensor unpackWeightInt8(const Tensor &wq, const Tensor &scales);
 /** Memoized per-channel scales of @p n's weight (param 0). */
 const Tensor &weightScales(const Node &n, ParamStore &params);
 
-/** Memoized packed [K,N] int8 weight of @p n (optimized layout). */
+/** Memoized packed [K,N] int8 weight of @p n (GEMM-streaming layout). */
 const Tensor &packedWeight(const Node &n, ParamStore &params);
 
 /** Memoized [N,K] int8 weight of @p n (reference layout). */

@@ -267,6 +267,9 @@ BatchDriver::run(const std::vector<std::vector<Tensor>> &requests,
         profile_.steals += ws.steals;
     }
 
+    // Before the alloc count closes, so a presize shows up in it.
+    pool_.presizeScratch();
+
     profile_.memory = MemoryStats{};
     profile_.memory.arena = arena_;
     profile_.memory.plannedArenaBytes = plan_->memplan.arenaBytes;

@@ -270,6 +270,9 @@ ParallelExecutor::run(const std::vector<Tensor> &inputs)
         profile_.steals += ws.steals;
     }
 
+    // Before the alloc count closes, so a presize shows up in it.
+    pool_.presizeScratch();
+
     profile_.memory = MemoryStats{};
     profile_.memory.arena = arena_;
     profile_.memory.plannedArenaBytes = memplan_.arenaBytes;

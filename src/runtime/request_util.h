@@ -35,8 +35,8 @@ bitIdentical(const std::vector<Tensor> &a, const std::vector<Tensor> &b)
 /**
  * Compare two output sets within float tolerance: every element must
  * satisfy |a - b| <= atol + rtol * |b| (numpy allclose semantics, b is
- * the reference). The cross-backend check: optimized kernels may
- * legally reassociate float accumulation, so their outputs match the
+ * the reference). The cross-backend check: simd kernels may legally
+ * round float accumulation differently (FMA), so their outputs match the
  * reference backend to tolerance rather than bit-for-bit. Returns an
  * empty string when close, else a description of the worst mismatch.
  */

@@ -2,6 +2,7 @@
 
 #include "obs/trace.h"
 #include "runtime/runtime_profile.h"
+#include "tensor/scratch.h"
 
 namespace ngb {
 
@@ -117,7 +118,7 @@ ThreadPool::popTask(int id, size_t &task, bool &stolen)
     for (int d = 1; d < n; ++d) {
         Queue &q = *queues_[static_cast<size_t>((id + d) % n)];
         std::lock_guard<std::mutex> lock(q.mutex);
-        if (!q.tasks.empty()) {
+        if (!q.tasks.empty() && !q.pinned) {
             task = q.tasks.back();
             q.tasks.pop_back();
             stolen = true;
@@ -190,17 +191,31 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t, int)> &fn)
         return;
     }
 
+    runRegion(n, fn, false);
+}
+
+void
+ThreadPool::runRegion(size_t n, const std::function<void(size_t, int)> &fn,
+                      bool pinned)
+{
+    int workers = threads();
     fn_ = &fn;
+    // The count goes up BEFORE any task is visible: a worker still
+    // looping on the previous region may pop one of these tasks the
+    // moment it is dealt, and its decrement must land on this count —
+    // storing the count afterwards would overwrite that decrement and
+    // the join below would wait forever.
+    remaining_.store(n, std::memory_order_release);
     // Deal tasks round-robin so each worker starts with a local run of
     // indices; stealing rebalances the tail.
     for (int w = 0; w < workers; ++w) {
         Queue &q = *queues_[static_cast<size_t>(w)];
         std::lock_guard<std::mutex> lock(q.mutex);
+        q.pinned = pinned;
         for (size_t i = static_cast<size_t>(w); i < n;
              i += static_cast<size_t>(workers))
             q.tasks.push_back(i);
     }
-    remaining_.store(n, std::memory_order_release);
     {
         std::lock_guard<std::mutex> lock(wakeMutex_);
         epoch_.fetch_add(1, std::memory_order_acq_rel);
@@ -224,6 +239,22 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t, int)> &fn)
     }
     if (err)
         std::rethrow_exception(err);
+}
+
+void
+ThreadPool::presizeScratch()
+{
+    const int64_t peak = ScratchArena::globalHighWaterBytes();
+    if (peak <= scratchSized_ || t_taskDepth > 0)
+        return;
+    scratchSized_ = peak;
+    auto reserve = [peak](size_t, int) {
+        ScratchArena::local().reserve(peak);
+    };
+    if (threads() == 1)
+        reserve(0, 0);
+    else
+        runRegion(static_cast<size_t>(threads()), reserve, true);
 }
 
 std::vector<ThreadPool::WorkerStats>

@@ -72,6 +72,18 @@ class ThreadPool
     std::vector<WorkerStats> drainStats();
 
     /**
+     * Size every worker's scratch arena (tensor/scratch.h) to the
+     * process-wide scratch high-water mark, when that mark rose since
+     * the last call. Arenas otherwise grow on the thread that first
+     * runs a demanding node, and work stealing decides which thread
+     * that is — a cold worker would allocate in a steady-state round
+     * long after warm-up. The drivers call this after each fork-join;
+     * it allocates only when a new peak was seen. A no-op inside a
+     * task.
+     */
+    void presizeScratch();
+
+    /**
      * True while the calling thread is inside a parallelFor task of
      * ANY pool (thread-local, not per-pool). Nested parallelFor calls
      * consult this to degrade to inline execution.
@@ -88,6 +100,7 @@ class ThreadPool
     struct Queue {
         std::mutex mutex;
         std::deque<size_t> tasks;
+        bool pinned = false;  ///< tasks are for this worker only
         WorkerStats stats;
     };
 
@@ -95,10 +108,16 @@ class ThreadPool
     void workUntilDrained(int id);
     bool popTask(int id, size_t &task, bool &stolen);
 
+    /** The fork-join core of parallelFor. @p pinned deals task i to
+     *  worker i and disables stealing, so each worker runs its own. */
+    void runRegion(size_t n, const std::function<void(size_t, int)> &fn,
+                   bool pinned);
+
     std::vector<std::unique_ptr<Queue>> queues_;
     std::vector<std::thread> workers_;
 
     const std::function<void(size_t, int)> *fn_ = nullptr;
+    int64_t scratchSized_ = 0;  ///< bytes presizeScratch last set
     std::atomic<size_t> remaining_{0};
     std::atomic<uint64_t> epoch_{0};
     bool stop_ = false;

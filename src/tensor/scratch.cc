@@ -50,6 +50,21 @@ ScratchArena::reservedBytes() const
     return total;
 }
 
+void
+ScratchArena::reserve(int64_t bytes)
+{
+    const size_t want = alignUp(static_cast<size_t>(bytes));
+    if (depth_ > 0 || bytes <= 0)
+        return;
+    for (const auto &b : blocks_)
+        if (b->bytes() >= want)
+            return;
+    blocks_.clear();
+    blocks_.push_back(std::make_shared<Storage>(want, /*zero=*/false));
+    cur_ = 0;
+    off_ = 0;
+}
+
 Tensor
 ScratchArena::alloc(const Shape &shape, DType dtype)
 {

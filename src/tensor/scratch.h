@@ -61,6 +61,14 @@ class ScratchArena
     /** Bytes currently reserved across this thread's blocks. */
     int64_t reservedBytes() const;
 
+    /**
+     * Make sure one block of at least @p bytes exists, replacing the
+     * current (smaller) blocks with it. Any node whose temporaries
+     * peaked at @p bytes of in-use scratch on some thread then fits
+     * here without growing. A no-op while a scope is open.
+     */
+    void reserve(int64_t bytes);
+
     /** This thread's peak in-use bytes. */
     int64_t highWaterBytes() const { return high_water_; }
 

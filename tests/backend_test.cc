@@ -3,7 +3,7 @@
  * The kernel-backend API: registry completeness, fallback chains,
  * explicit kernel installation, backend-keyed engine caching, and the
  * cross-backend differential suite (every registry model, reference vs
- * optimized, serial and parallel).
+ * the portable simd level, serial and parallel).
  */
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@
 #include "models/registry.h"
 #include "ops/backend.h"
 #include "ops/kernels.h"
-#include "ops/optimized_kernels.h"
+#include "ops/simd_backend.h"
 #include "runtime/batch_driver.h"
 #include "runtime/parallel_executor.h"
 #include "runtime/request_util.h"
@@ -26,26 +26,6 @@ namespace ngb {
 namespace {
 
 namespace kn = kernels;
-namespace ko = kernels::opt;
-
-::testing::AssertionResult
-tensorsBitIdentical(const Tensor &a, const Tensor &b)
-{
-    std::string diff = bitDifference({a}, {b});
-    if (diff.empty())
-        return ::testing::AssertionSuccess();
-    return ::testing::AssertionFailure() << diff;
-}
-
-::testing::AssertionResult
-tensorsClose(const Tensor &a, const Tensor &b, float rtol = 1e-3f,
-             float atol = 1e-5f)
-{
-    std::string diff = closeDifference({a}, {b}, rtol, atol);
-    if (diff.empty())
-        return ::testing::AssertionSuccess();
-    return ::testing::AssertionFailure() << diff;
-}
 
 // ---- registry completeness guard -----------------------------------------
 
@@ -64,9 +44,9 @@ TEST(BackendRegistryTest, ReferenceCoversEveryOpIncludingFused)
     EXPECT_EQ(ref.numKernels(), allOpKinds().size());
 }
 
-TEST(BackendRegistryTest, OptimizedRegistersFusedKernel)
+TEST(BackendRegistryTest, SimdRegistersFusedKernel)
 {
-    EXPECT_TRUE(optimizedBackend().handles(OpKind::Fused));
+    EXPECT_TRUE(simdBackend().handles(OpKind::Fused));
 }
 
 TEST(BackendRegistryTest, UnknownOpLookupThrowsDescriptiveError)
@@ -94,28 +74,35 @@ TEST(BackendRegistryTest, UnknownBackendNameThrows)
         std::string msg = e.what();
         EXPECT_NE(msg.find("bogus"), std::string::npos) << msg;
         EXPECT_NE(msg.find("reference"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("optimized"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("simd"), std::string::npos) << msg;
     }
 }
 
 TEST(BackendRegistryTest, BuiltinsResolveByName)
 {
     EXPECT_EQ(&findBackend("reference"), &referenceBackend());
-    EXPECT_EQ(&findBackend("optimized"), &optimizedBackend());
-    EXPECT_EQ(optimizedBackend().fallback(), &referenceBackend());
+    EXPECT_EQ(&findBackend("simd"), &simdBackend());
+    EXPECT_EQ(simdBackend().fallback(), &referenceBackend());
     EXPECT_EQ(referenceBackend().fallback(), nullptr);
-    // The optimized backend is a sparse overlay, not a full copy.
-    EXPECT_GT(optimizedBackend().numKernels(), 0u);
-    EXPECT_LT(optimizedBackend().numKernels(),
+    // The simd backend is a sparse overlay, not a full copy.
+    EXPECT_GT(simdBackend().numKernels(), 0u);
+    EXPECT_LT(simdBackend().numKernels(),
               referenceBackend().numKernels());
+    EXPECT_EQ(backendNames(),
+              (std::vector<std::string>{"reference", "simd"}));
 }
 
 TEST(BackendRegistryTest, FallbackChainResolvesUnoverriddenOps)
 {
-    // Conv2d is not overridden by the optimized backend: lookup must
-    // resolve through the fallback chain instead of throwing.
-    EXPECT_FALSE(optimizedBackend().handles(OpKind::Conv2d));
-    EXPECT_NO_THROW(optimizedBackend().kernelFor(OpKind::Conv2d));
+    // Conv2d is not overridden by the simd backend: lookup must
+    // resolve through the fallback chain instead of throwing, and
+    // report reference as the kernel's owner.
+    EXPECT_FALSE(simdBackend().handles(OpKind::Conv2d));
+    const Backend *owner = nullptr;
+    EXPECT_NO_THROW(simdBackend().kernelFor(OpKind::Conv2d, &owner));
+    EXPECT_EQ(owner, &referenceBackend());
+    simdBackend().kernelFor(OpKind::MatMul, &owner);
+    EXPECT_EQ(owner, &simdBackend());
     // An empty backend with no fallback reports the full chain.
     Backend lone("lone");
     EXPECT_THROW(lone.kernelFor(OpKind::ReLU), std::runtime_error);
@@ -158,133 +145,6 @@ TEST(BackendOverrideTest, InstalledKernelOverridesAndRestFallsBack)
     EXPECT_TRUE(anyNonZero);
 }
 
-// ---- optimized kernels: order-preserving ops are bit-identical -----------
-
-TEST(OptimizedKernelTest, OrderPreservingKernelsBitIdentical)
-{
-    Tensor x = Tensor::randn(Shape{64, 33}, 21);
-    EXPECT_TRUE(tensorsBitIdentical(kn::relu(x), ko::relu(x)));
-    EXPECT_TRUE(tensorsBitIdentical(kn::gelu(x), ko::gelu(x)));
-    EXPECT_TRUE(tensorsBitIdentical(kn::silu(x), ko::silu(x)));
-    EXPECT_TRUE(tensorsBitIdentical(kn::sigmoid(x), ko::sigmoid(x)));
-    EXPECT_TRUE(tensorsBitIdentical(kn::tanhOp(x), ko::tanhOp(x)));
-    EXPECT_TRUE(tensorsBitIdentical(kn::expOp(x), ko::expOp(x)));
-    EXPECT_TRUE(
-        tensorsBitIdentical(kn::addScalar(x, 0.5f), ko::addScalar(x, 0.5f)));
-    EXPECT_TRUE(
-        tensorsBitIdentical(kn::mulScalar(x, 1.5f), ko::mulScalar(x, 1.5f)));
-
-    Tensor y = Tensor::randn(Shape{64, 33}, 22);
-    EXPECT_TRUE(tensorsBitIdentical(kn::add(x, y), ko::add(x, y)));
-    EXPECT_TRUE(tensorsBitIdentical(kn::sub(x, y), ko::sub(x, y)));
-    EXPECT_TRUE(tensorsBitIdentical(kn::mul(x, y), ko::mul(x, y)));
-    EXPECT_TRUE(tensorsBitIdentical(kn::div(x, y), ko::div(x, y)));
-
-    // Last-dim softmax takes the raw-pointer fast path; same float
-    // expressions in the same order.
-    Tensor logits = Tensor::randn(Shape{5, 13, 17}, 23);
-    EXPECT_TRUE(
-        tensorsBitIdentical(kn::softmax(logits, -1), ko::softmax(logits, -1)));
-
-    // BatchNorm hoists the per-channel affine but evaluates the same
-    // expressions per element.
-    Tensor img = Tensor::randn(Shape{2, 6, 9, 9}, 24);
-    Tensor gm = Tensor::randn(Shape{6}, 25, 0.1f);
-    Tensor bt = Tensor::randn(Shape{6}, 26, 0.1f);
-    Tensor mn = Tensor::randn(Shape{6}, 27, 0.1f);
-    Tensor vr = Tensor::full(Shape{6}, 0.9f);
-    EXPECT_TRUE(tensorsBitIdentical(
-        kn::batchNorm2d(img, gm, bt, mn, vr, 1e-5f),
-        ko::batchNorm2d(img, gm, bt, mn, vr, 1e-5f)));
-}
-
-TEST(OptimizedKernelTest, NonFastInputsFallBackToReferenceSemantics)
-{
-    // F16 input: the fast path requires F32, so the optimized entry
-    // must produce exactly what the reference does.
-    Tensor h = Tensor::randn(Shape{40}, 31).to(DType::F16);
-    EXPECT_TRUE(tensorsBitIdentical(kn::relu(h), ko::relu(h)));
-
-    // Non-contiguous view input.
-    Tensor x = Tensor::randn(Shape{12, 10}, 32).transpose(0, 1);
-    EXPECT_TRUE(tensorsBitIdentical(kn::gelu(x), ko::gelu(x)));
-
-    // Broadcasting add (shapes differ): reference broadcast path.
-    Tensor a = Tensor::randn(Shape{8, 5}, 33);
-    Tensor row = Tensor::randn(Shape{5}, 34);
-    EXPECT_TRUE(tensorsBitIdentical(kn::add(a, row), ko::add(a, row)));
-
-    // Softmax over a non-terminal dim: reference permuting path.
-    Tensor t = Tensor::randn(Shape{4, 6, 8}, 35);
-    EXPECT_TRUE(tensorsBitIdentical(kn::softmax(t, 1), ko::softmax(t, 1)));
-}
-
-TEST(OptimizedKernelTest, GemmMatchesReferenceAcrossEdgeShapes)
-{
-    // Shapes straddling the 4x16 register tile: exact multiples, tails
-    // in M only, N only, both, and degenerate single-element GEMMs.
-    const int64_t shapes[][3] = {
-        {1, 1, 1},   {3, 5, 7},    {4, 16, 16}, {5, 17, 33},
-        {8, 32, 16}, {127, 63, 65}, {16, 1, 16}, {2, 300, 2},
-    };
-    for (const auto &s : shapes) {
-        int64_t m = s[0], k = s[1], n = s[2];
-        Tensor a = Tensor::randn(Shape{m, k}, 41 + m);
-        Tensor b = Tensor::randn(Shape{k, n}, 43 + n);
-        EXPECT_TRUE(tensorsClose(ko::matmul(a, b), kn::matmul(a, b), 1e-4f))
-            << "matmul " << m << "x" << k << "x" << n;
-
-        Tensor x = Tensor::randn(Shape{2, m, k}, 47 + m);
-        Tensor w = Tensor::randn(Shape{n, k}, 53 + n);
-        Tensor bias = Tensor::randn(Shape{n}, 59);
-        EXPECT_TRUE(tensorsClose(ko::linear(x, w, bias),
-                                 kn::linear(x, w, bias), 1e-4f))
-            << "linear " << m << "x" << k << "x" << n;
-        EXPECT_TRUE(tensorsClose(ko::linear(x, w, Tensor()),
-                                 kn::linear(x, w, Tensor()), 1e-4f))
-            << "linear(no bias) " << m << "x" << k << "x" << n;
-
-        Tensor ba = Tensor::randn(Shape{3, m, k}, 61 + m);
-        Tensor bb = Tensor::randn(Shape{3, k, n}, 67 + n);
-        EXPECT_TRUE(tensorsClose(ko::bmm(ba, bb), kn::bmm(ba, bb), 1e-4f))
-            << "bmm " << m << "x" << k << "x" << n;
-    }
-
-    // Non-contiguous A operand (transposed view), as attention builds.
-    Tensor a = Tensor::randn(Shape{24, 12}, 71).transpose(0, 1);
-    Tensor b = Tensor::randn(Shape{24, 20}, 72);
-    EXPECT_TRUE(tensorsClose(ko::matmul(a, b), kn::matmul(a, b), 1e-4f));
-}
-
-TEST(OptimizedKernelTest, LayerNormSinglePassWithinTolerance)
-{
-    for (int64_t d : {1, 7, 64, 768}) {
-        Tensor x = Tensor::randn(Shape{19, d}, 80 + d);
-        Tensor g = Tensor::randn(Shape{d}, 81, 0.1f);
-        Tensor b = Tensor::randn(Shape{d}, 82, 0.1f);
-        EXPECT_TRUE(tensorsClose(ko::layerNorm(x, g, b, 1e-5f),
-                                 kn::layerNorm(x, g, b, 1e-5f), 1e-3f,
-                                 1e-4f))
-            << "layer_norm d=" << d;
-    }
-
-    // Large common offset, tiny spread: the naive E[x^2]-mean^2
-    // shortcut cancels catastrophically here (variance ~1e-2 against
-    // squared moments ~1e6, clamping to 0 and inflating every z-score
-    // ~30x); Welford must stay with the centered two-pass reference.
-    // Both methods carry O(1e-2) inherent f32 rounding in this regime
-    // (the deviations themselves only have ~3 significant digits at
-    // offset 1000), so the assertion is an absolute z-score bound
-    // that catches the blowup, not bit-level agreement.
-    Tensor shifted =
-        kn::addScalar(Tensor::randn(Shape{8, 256}, 83, 0.1f), 1000.0f);
-    Tensor g1 = Tensor::full(Shape{256}, 1.0f);
-    Tensor b0 = Tensor::zeros(Shape{256});
-    EXPECT_TRUE(tensorsClose(ko::layerNorm(shifted, g1, b0, 1e-5f),
-                             kn::layerNorm(shifted, g1, b0, 1e-5f), 1e-2f,
-                             5e-2f));
-}
-
 // ---- cross-backend differential suite over the registry ------------------
 
 class BackendDifferentialTest
@@ -292,7 +152,7 @@ class BackendDifferentialTest
 {
 };
 
-TEST_P(BackendDifferentialTest, OptimizedMatchesReferenceSerialAndParallel)
+TEST_P(BackendDifferentialTest, PortableSimdMatchesReferenceSerialAndParallel)
 {
     const models::ModelInfo &info = GetParam();
     Graph g = info.build(ModelConfig{1, 8, false, 0, 8});
@@ -301,14 +161,15 @@ TEST_P(BackendDifferentialTest, OptimizedMatchesReferenceSerialAndParallel)
     Executor ref(g, referenceBackend());
     std::vector<Tensor> want = ref.run(inputs);
 
-    Executor opt(g, optimizedBackend());
-    std::vector<Tensor> got = opt.run(inputs);
+    Backend portable = makeSimdBackend(platform::IsaLevel::Scalar);
+    Executor ex(g, portable);
+    std::vector<Tensor> got = ex.run(inputs);
     EXPECT_EQ(closeDifference(got, want), "") << info.name;
 
     // Same backend, parallel wavefront execution: bit-identical to
     // the serial walk — threading must never change a bit.
     ThreadPool pool(4);
-    ParallelExecutor pex(g, pool, optimizedBackend());
+    ParallelExecutor pex(g, pool, portable);
     EXPECT_EQ(bitDifference(pex.run(inputs), got), "") << info.name;
 }
 
@@ -327,13 +188,13 @@ TEST(BackendDifferentialTest2, BatchDriverHonorsBackend)
     std::vector<std::vector<Tensor>> reqs = {makeRequestInputs(g, 1),
                                              makeRequestInputs(g, 2)};
 
-    BatchDriver opt(g, pool, optimizedBackend());
-    auto outs = opt.run(reqs);
-    EXPECT_EQ(opt.profile().backend, "optimized");
+    BatchDriver fast(g, pool, simdBackend());
+    auto outs = fast.run(reqs);
+    EXPECT_EQ(fast.profile().backend, "simd");
 
-    Executor serialOpt(g, optimizedBackend());
+    Executor serialFast(g, simdBackend());
     for (size_t r = 0; r < reqs.size(); ++r)
-        EXPECT_EQ(bitDifference(outs[r], serialOpt.run(reqs[r])), "");
+        EXPECT_EQ(bitDifference(outs[r], serialFast.run(reqs[r])), "");
 
     Executor serialRef(g, referenceBackend());
     for (size_t r = 0; r < reqs.size(); ++r)
@@ -355,9 +216,9 @@ TEST(EngineCacheBackendTest, TenantsPinningBackendsGetDistinctEngines)
     EXPECT_EQ(&ref1, &ref2);
     EXPECT_EQ(ref1.backend().name(), "reference");
 
-    serve::Engine &opt = cache.get("vit_b", "optimized");
-    EXPECT_NE(&ref1, &opt);
-    EXPECT_EQ(opt.backend().name(), "optimized");
+    serve::Engine &fast = cache.get("vit_b", "simd");
+    EXPECT_NE(&ref1, &fast);
+    EXPECT_EQ(fast.backend().name(), "simd");
 
     serve::EngineCache::Stats stats = cache.stats();
     EXPECT_EQ(stats.hits, 1);
@@ -369,11 +230,11 @@ TEST(EngineCacheBackendTest, TenantsPinningBackendsGetDistinctEngines)
     std::vector<std::vector<Tensor>> req = {
         makeRequestInputs(ref1.graph(), 5)};
     auto a = ref1.run(req);
-    auto b = opt.run(req);
+    auto b = fast.run(req);
     Executor sref(ref1.graph(), referenceBackend());
-    Executor sopt(opt.graph(), optimizedBackend());
+    Executor sfast(fast.graph(), simdBackend());
     EXPECT_EQ(bitDifference(a[0], sref.run(req[0])), "");
-    EXPECT_EQ(bitDifference(b[0], sopt.run(req[0])), "");
+    EXPECT_EQ(bitDifference(b[0], sfast.run(req[0])), "");
     EXPECT_EQ(closeDifference(b[0], a[0]), "");
 }
 
@@ -382,10 +243,10 @@ TEST(EngineCacheBackendTest, ConfigBackendIsDefaultForTenants)
     ThreadPool pool(2);
     serve::EngineConfig cfg;
     cfg.scale = 16;
-    cfg.backend = "optimized";
+    cfg.backend = "simd";
     serve::EngineCache cache(pool, cfg);
     serve::Engine &e = cache.get("gpt2");
-    EXPECT_EQ(e.backend().name(), "optimized");
+    EXPECT_EQ(e.backend().name(), "simd");
     // An explicit pin still wins over the config default.
     serve::Engine &r = cache.get("gpt2", "reference");
     EXPECT_EQ(r.backend().name(), "reference");

@@ -1,10 +1,10 @@
 /**
  * @file
  * Executable fusion: applyFusion as a graph rewrite, proven correct by
- * a differential suite (every registry model x {reference, optimized}
- * backend x {serial, wavefront} runtime: fused output bit-identical to
- * unfused on order-preserving chains, within tolerance where the
- * optimized backend pre-merges Conv+BN affines) and a seeded
+ * a differential suite (every registry model x {reference, simd
+ * portable, simd active level} backend x {serial, wavefront} runtime:
+ * fused output bit-identical to unfused on order-preserving chains,
+ * within tolerance where simd pre-merges Conv+BN affines) and a seeded
  * property/fuzz harness over random point-wise chain graphs.
  */
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "backend_sets.h"
 #include "deploy/fusion.h"
 #include "graph/builder.h"
 #include "graph/executor.h"
@@ -43,8 +44,8 @@ representedOps(const Graph &fused)
 
 /**
  * True when the rewrite produced a Conv2d-headed fused group — the one
- * pattern the optimized backend executes with pre-merged affines /
- * the tiled conv core, i.e. the documented tolerance (not
+ * pattern the simd backend executes with pre-merged affines /
+ * the im2col GEMM conv, i.e. the documented tolerance (not
  * bit-identity) case.
  */
 bool
@@ -90,15 +91,15 @@ TEST_P(FusionDifferentialTest, FusedMatchesUnfusedSerialAndWavefront)
     ASSERT_EQ(makeRequestInputs(fused, 1234).size(), inputs.size());
 
     const bool conv_fused = hasConvHeadedFusion(fused);
-    for (const Backend *backend :
-         {&referenceBackend(), &optimizedBackend()}) {
+    const std::vector<Backend> fast = fastBackends();
+    for (const Backend *backend : withReference(fast)) {
         Executor unf(g, *backend);
         std::vector<Tensor> want = unf.run(inputs);
 
         Executor fex(fused, *backend);
         std::vector<Tensor> got = fex.run(inputs);
 
-        if (backend == &optimizedBackend() && conv_fused) {
+        if (backend != &referenceBackend() && conv_fused) {
             // Conv+BN merged affines reassociate the per-element
             // scale: tolerance, the documented contract.
             EXPECT_EQ(closeDifference(got, want), "")
@@ -157,8 +158,8 @@ TEST(FusionExecTest, BinaryMemberWithExternalOperandEitherPort)
         EXPECT_EQ(fused_nodes, 1);
 
         std::vector<Tensor> inputs = makeRequestInputs(g, 77);
-        for (const Backend *backend :
-             {&referenceBackend(), &optimizedBackend()}) {
+        const std::vector<Backend> fast = fastBackends();
+        for (const Backend *backend : withReference(fast)) {
             Executor unf(g, *backend);
             Executor fex(fused, *backend);
             EXPECT_EQ(bitDifference(fex.run(inputs), unf.run(inputs)),
@@ -190,8 +191,8 @@ TEST(FusionExecTest, LinearEpilogueFusesIntoGemmAndStaysBitIdentical)
     EXPECT_EQ(f.category(), OpCategory::Gemm);
 
     std::vector<Tensor> inputs = makeRequestInputs(g, 5);
-    for (const Backend *backend :
-         {&referenceBackend(), &optimizedBackend()}) {
+    const std::vector<Backend> fast = fastBackends();
+    for (const Backend *backend : withReference(fast)) {
         Executor unf(g, *backend);
         Executor fex(fused, *backend);
         EXPECT_EQ(bitDifference(fex.run(inputs), unf.run(inputs)), "")
@@ -219,10 +220,12 @@ TEST(FusionExecTest, ConvBnReluMergedAffineWithinTolerance)
     Executor runf(g, referenceBackend());
     Executor rfex(fused, referenceBackend());
     EXPECT_EQ(bitDifference(rfex.run(inputs), runf.run(inputs)), "");
-    // Optimized pre-merges the affine: tolerance.
-    Executor ounf(g, optimizedBackend());
-    Executor ofex(fused, optimizedBackend());
-    EXPECT_EQ(closeDifference(ofex.run(inputs), ounf.run(inputs)), "");
+    // simd pre-merges the affine: tolerance, at every level.
+    for (const Backend &fast : fastBackends()) {
+        Executor sunf(g, fast);
+        Executor sfex(fused, fast);
+        EXPECT_EQ(closeDifference(sfex.run(inputs), sunf.run(inputs)), "");
+    }
 }
 
 TEST(FusionExecTest, BatchDriverRunsFusedGraphsBitIdentically)
@@ -233,14 +236,14 @@ TEST(FusionExecTest, BatchDriverRunsFusedGraphsBitIdentically)
     ThreadPool pool(2);
     std::vector<std::vector<Tensor>> reqs = {makeRequestInputs(g, 1),
                                              makeRequestInputs(g, 2)};
-    BatchDriver driver(fused, pool, optimizedBackend());
+    BatchDriver driver(fused, pool, simdBackend());
     auto outs = driver.run(reqs);
     EXPECT_TRUE(driver.profile().fused);
 
-    Executor serial(fused, optimizedBackend());
+    Executor serial(fused, simdBackend());
     for (size_t r = 0; r < reqs.size(); ++r)
         EXPECT_EQ(bitDifference(outs[r], serial.run(reqs[r])), "");
-    Executor unfused(g, optimizedBackend());
+    Executor unfused(g, simdBackend());
     for (size_t r = 0; r < reqs.size(); ++r)
         EXPECT_EQ(bitDifference(outs[r], unfused.run(reqs[r])), "");
 }
@@ -350,11 +353,13 @@ TEST(FusionPropertyTest, RandomChainsSurviveApplyFusion)
             EXPECT_EQ(bitDifference(fex.run(inputs), unf.run(inputs)),
                       "")
                 << "seed " << seed;
-            Executor ounf(g, optimizedBackend());
-            Executor ofex(fused, optimizedBackend());
-            EXPECT_EQ(bitDifference(ofex.run(inputs), ounf.run(inputs)),
-                      "")
-                << "seed " << seed << " [optimized]";
+            for (const Backend &fast : fastBackends()) {
+                Executor sunf(g, fast);
+                Executor sfex(fused, fast);
+                EXPECT_EQ(
+                    bitDifference(sfex.run(inputs), sunf.run(inputs)), "")
+                    << "seed " << seed << " [simd]";
+            }
         }
     }
 }

@@ -5,10 +5,10 @@
 #include <stdexcept>
 #include <vector>
 
+#include "backend_sets.h"
 #include "deploy/fusion.h"
 #include "graph/executor.h"
 #include "models/registry.h"
-#include "ops/optimized_kernels.h"
 #include "ops/simd_backend.h"
 #include "platform/tuning_cache.h"
 #include "quant/quant_kernels.h"
@@ -208,49 +208,43 @@ const GemmShape kRaggedShapes[] = {
     {64, 33, 16},  {65, 100, 130}, {127, 64, 255}, {130, 257, 96},
 };
 
-TEST(IntraOpRaggedTest, OptimizedF32KernelsBitIdenticalUnderRegion)
-{
-    ThreadPool pool(3);
-    ParallelRegion region(&pool);
-    namespace ko = kernels::opt;
-    for (const GemmShape &s : kRaggedShapes) {
-        Tensor a = Tensor::randn(Shape{s.m, s.k}, s.m * 31 + s.n);
-        Tensor b = Tensor::randn(Shape{s.k, s.n}, s.k * 17 + s.n);
-        EXPECT_TRUE(outputsBitIdentical(
-            {ko::matmul(a, b, {}, &region)}, {ko::matmul(a, b)}))
-            << "matmul " << s.m << "x" << s.k << "x" << s.n;
-
-        Tensor w = Tensor::randn(Shape{s.n, s.k}, s.n * 7 + s.k);
-        Tensor bias = Tensor::randn(Shape{s.n}, s.n);
-        Tensor wt = ko::packWeightTranspose(w);
-        EXPECT_TRUE(outputsBitIdentical(
-            {ko::linearPacked(a, wt, bias, {}, &region)},
-            {ko::linearPacked(a, wt, bias)}))
-            << "linear " << s.m << "x" << s.k << "x" << s.n;
-    }
-    // Batched matmul: batch and within-item sharding.
-    Tensor a = Tensor::randn(Shape{5, 37, 29}, 11);
-    Tensor b = Tensor::randn(Shape{5, 29, 43}, 13);
-    EXPECT_TRUE(outputsBitIdentical({kernels::opt::bmm(a, b, {}, &region)},
-                                    {kernels::opt::bmm(a, b)}));
-}
-
 TEST(IntraOpRaggedTest, SimdF32KernelsBitIdenticalUnderRegion)
 {
     ThreadPool pool(3);
     ParallelRegion region(&pool);
     namespace sd = kernels::sd;
-    for (const GemmShape &s : kRaggedShapes) {
-        Tensor a = Tensor::randn(Shape{s.m, s.k}, s.m * 41 + s.n);
-        Tensor b = Tensor::randn(Shape{s.k, s.n}, s.k * 13 + s.m);
-        EXPECT_TRUE(outputsBitIdentical({sd::matmul(a, b, {}, &region)},
-                                        {sd::matmul(a, b)}))
-            << "simd matmul " << s.m << "x" << s.k << "x" << s.n;
+    IsaGuard restore;
+    for (platform::IsaLevel l : platform::supportedIsaLevels()) {
+        platform::setActiveIsa(l);
+        for (const GemmShape &s : kRaggedShapes) {
+            Tensor a = Tensor::randn(Shape{s.m, s.k}, s.m * 41 + s.n);
+            Tensor b = Tensor::randn(Shape{s.k, s.n}, s.k * 13 + s.m);
+            EXPECT_TRUE(outputsBitIdentical(
+                {sd::matmul(a, b, {}, &region)}, {sd::matmul(a, b)}))
+                << platform::isaName(l) << " matmul " << s.m << "x"
+                << s.k << "x" << s.n;
+
+            Tensor w = Tensor::randn(Shape{s.n, s.k}, s.n * 7 + s.k);
+            Tensor bias = Tensor::randn(Shape{s.n}, s.n);
+            Tensor wt = sd::packWeightTranspose(w);
+            EXPECT_TRUE(outputsBitIdentical(
+                {sd::linearPacked(a, wt, bias, {}, &region)},
+                {sd::linearPacked(a, wt, bias)}))
+                << platform::isaName(l) << " linear " << s.m << "x"
+                << s.k << "x" << s.n;
+        }
+        // Batched matmul: batch and within-item sharding.
+        Tensor a = Tensor::randn(Shape{4, 33, 65}, 5);
+        Tensor b = Tensor::randn(Shape{4, 65, 50}, 7);
+        EXPECT_TRUE(outputsBitIdentical({sd::bmm(a, b, {}, &region)},
+                                        {sd::bmm(a, b)}))
+            << platform::isaName(l);
+        Tensor a1 = Tensor::randn(Shape{1, 37, 29}, 11);
+        Tensor b1 = Tensor::randn(Shape{1, 29, 43}, 13);
+        EXPECT_TRUE(outputsBitIdentical({sd::bmm(a1, b1, {}, &region)},
+                                        {sd::bmm(a1, b1)}))
+            << platform::isaName(l);
     }
-    Tensor a = Tensor::randn(Shape{4, 33, 65}, 5);
-    Tensor b = Tensor::randn(Shape{4, 65, 50}, 7);
-    EXPECT_TRUE(outputsBitIdentical({sd::bmm(a, b, {}, &region)},
-                                    {sd::bmm(a, b)}));
 }
 
 TEST(IntraOpRaggedTest, Int8KernelsBitIdenticalUnderRegion)
@@ -268,29 +262,25 @@ TEST(IntraOpRaggedTest, Int8KernelsBitIdenticalUnderRegion)
         float xscale = qk::scaleValue(xs);
 
         EXPECT_TRUE(outputsBitIdentical(
-            {qk::int8AccLinearPacked(xq, wtq, {}, &region)},
-            {qk::int8AccLinearPacked(xq, wtq)}))
-            << "int8 acc " << s.m << "x" << s.k << "x" << s.n;
-        EXPECT_TRUE(outputsBitIdentical(
-            {qk::int8LinearPackedRequant(xq, xscale, wtq, ws, bias,
-                                         nullptr, 0, {}, &region)},
-            {qk::int8LinearPackedRequant(xq, xscale, wtq, ws, bias,
-                                         nullptr, 0)}))
-            << "int8 requant " << s.m << "x" << s.k << "x" << s.n;
-        EXPECT_TRUE(outputsBitIdentical(
             {qk::w8LinearPacked(x, wtq, ws, bias, nullptr, 0, {},
                                 &region)},
             {qk::w8LinearPacked(x, wtq, ws, bias, nullptr, 0)}))
             << "w8 " << s.m << "x" << s.k << "x" << s.n;
 
-        // The simd int8 path over its own (possibly dot-interleaved)
-        // packed layout.
-        Tensor wp = kernels::sd::packInt8Weight(wtq);
-        EXPECT_TRUE(outputsBitIdentical(
-            {kernels::sd::int8LinearRequant(xq, xscale, wp, ws, bias,
-                                            {}, &region)},
-            {kernels::sd::int8LinearRequant(xq, xscale, wp, ws, bias)}))
-            << "simd int8 " << s.m << "x" << s.k << "x" << s.n;
+        // The simd int8 path at every level, over that level's own
+        // (possibly dot-interleaved) packed layout.
+        IsaGuard restore;
+        for (platform::IsaLevel l : platform::supportedIsaLevels()) {
+            platform::setActiveIsa(l);
+            Tensor wp = kernels::sd::packInt8Weight(wtq);
+            EXPECT_TRUE(outputsBitIdentical(
+                {kernels::sd::int8LinearRequant(xq, xscale, wp, ws, bias,
+                                                {}, &region)},
+                {kernels::sd::int8LinearRequant(xq, xscale, wp, ws,
+                                                bias)}))
+                << platform::isaName(l) << " int8 " << s.m << "x" << s.k
+                << "x" << s.n;
+        }
     }
 }
 
@@ -301,7 +291,7 @@ TEST(IntraOpSchedulerTest, OffModeNeverRunsDeepLevels)
     Graph g = models::findModel("vit_b").build(ModelConfig{1, 8, false,
                                                            0, 8});
     ThreadPool pool(4);
-    ParallelExecutor ex(g, pool, optimizedBackend(), false,
+    ParallelExecutor ex(g, pool, simdBackend(), false,
                         IntraOpMode::Off);
     ex.run(makeRequestInputs(g, 1));
     EXPECT_EQ(ex.profile().deepLevelCount(), 0);
@@ -313,7 +303,7 @@ TEST(IntraOpSchedulerTest, OnModeRunsNarrowGemmLevelsDeep)
     Graph g = models::findModel("vit_b").build(ModelConfig{1, 8, false,
                                                            0, 8});
     ThreadPool pool(4);
-    ParallelExecutor ex(g, pool, optimizedBackend(), false,
+    ParallelExecutor ex(g, pool, simdBackend(), false,
                         IntraOpMode::On);
     ex.run(makeRequestInputs(g, 1));
     // A transformer trunk is narrower than 4 workers at its GEMM
@@ -327,13 +317,13 @@ TEST(IntraOpSchedulerTest, SingleRequestBatchGoesDeepAndStaysIdentical)
     Graph g = models::findModel("gpt2").build(ModelConfig{1, 8, false,
                                                           0, 8});
     auto inputs = makeRequestInputs(g, 3);
-    Executor ref(g, optimizedBackend());
+    Executor ref(g, simdBackend());
     auto want = ref.run(inputs);
 
     ThreadPool pool(4);
     for (IntraOpMode mode :
          {IntraOpMode::Off, IntraOpMode::On, IntraOpMode::Auto}) {
-        BatchDriver drv(g, pool, optimizedBackend(), false, mode);
+        BatchDriver drv(g, pool, simdBackend(), false, mode);
         auto outs = drv.run({inputs});
         ASSERT_EQ(outs.size(), 1u);
         EXPECT_TRUE(outputsBitIdentical(outs[0], want))
@@ -363,8 +353,9 @@ TEST_P(IntraOpAllModels, BitIdenticalAtEveryThreadCount)
     if (hw > 2)
         counts.push_back(hw);
 
-    const Backend *backends[] = {&optimizedBackend(), &simdBackend()};
-    for (const Backend *backend : backends) {
+    const std::vector<Backend> backends = fastBackends();
+    for (const Backend &b : backends) {
+        const Backend *backend = &b;
         Executor ref(g, *backend);
         auto want = ref.run(inputs);
         for (int threads : counts) {
@@ -414,9 +405,9 @@ TEST(IntraOpQuantFusedTest, QuantizedAndFusedGraphsBitIdenticalSharded)
                 Graph g = fuse ? applyFusion(gq, executableFusionConfig())
                                : gq;
                 auto inputs = makeRequestInputs(g, 9);
-                const Backend *backends[] = {&optimizedBackend(),
-                                             &simdBackend()};
-                for (const Backend *backend : backends) {
+                const std::vector<Backend> backends = fastBackends();
+                for (const Backend &b : backends) {
+                    const Backend *backend = &b;
                     Executor ref(g, *backend);
                     auto want = ref.run(inputs);
                     ThreadPool pool(threads);

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <set>
 
+#include "backend_sets.h"
 #include "deploy/fusion.h"
 #include "graph/builder.h"
 #include "graph/executor.h"
@@ -356,8 +357,8 @@ TEST(ArenaExecutionTest, BitIdenticalToHeapAcrossRegistryAndBackends)
         Graph g = info.build(mc);
         std::vector<std::vector<Tensor>> reqs = {makeRequestInputs(g, 1),
                                                  makeRequestInputs(g, 2)};
-        for (const Backend *backend :
-             {&referenceBackend(), &optimizedBackend()}) {
+        const std::vector<Backend> fast = fastBackends();
+        for (const Backend *backend : withReference(fast)) {
             // Serial heap walk = the ground truth for this backend.
             Executor serial(g, *backend);
             std::vector<std::vector<Tensor>> want = {
@@ -465,9 +466,13 @@ TEST(AllocationRegressionTest, SteadyStateBatchDriverIsMallocFree)
         EXPECT_EQ(steadyStateBatchAllocs(model, referenceBackend(), pool),
                   0u)
             << model << " reference";
-        EXPECT_EQ(steadyStateBatchAllocs(model, optimizedBackend(), pool),
+        EXPECT_EQ(steadyStateBatchAllocs(model, simdBackend(), pool), 0u)
+            << model << " simd";
+        EXPECT_EQ(steadyStateBatchAllocs(
+                      model, makeSimdBackend(platform::IsaLevel::Scalar),
+                      pool),
                   0u)
-            << model << " optimized";
+            << model << " simd portable";
     }
 }
 

@@ -9,10 +9,14 @@
 #include <thread>
 #include <vector>
 
+#include "graph/builder.h"
+#include "graph/executor.h"
 #include "obs/chrome_trace.h"
 #include "obs/json_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "ops/backend.h"
+#include "runtime/request_util.h"
 #include "serve/serve_driver.h"
 
 namespace ngb {
@@ -344,6 +348,42 @@ TEST(ObsTracerConcurrencyTest, ParallelProducersThenQuiescentExport)
     EXPECT_NE(s.find("obs-test-0"), std::string::npos);
     EXPECT_NE(s.find("\"trace_id\":" + std::to_string(kThreads)),
               std::string::npos);
+}
+
+// ---- kernel spans name the tier that ran -----------------------------------
+
+TEST(ObsTraceTest, KernelSpansNameTheBackendWhoseKernelRan)
+{
+    // simd overrides MatMul but not Conv2d: under a traced simd run the
+    // conv span must say reference (the fallback that served it), the
+    // matmul span simd. Static forms simd declines — the legacy modeled
+    // Int8Linear, softmax over a non-last dim — resolve to reference
+    // too; a runtime-only fallback inside a simd kernel (a
+    // broadcasting Add) is attributed to simd.
+    Graph g;
+    GraphBuilder b(g);
+    b.output(b.conv2d(b.input(Shape{1, 2, 6, 6}), 4, 3, 1, 1, 1, true,
+                      "conv"));
+    b.output(b.matmul(b.input(Shape{4, 5}), b.input(Shape{5, 3})));
+    b.output(b.int8Linear(b.input(Shape{2, 8}), 4));
+    b.output(b.softmax(b.input(Shape{3, 5}), 0));
+    b.output(b.add(b.input(Shape{3, 5}), b.input(Shape{1, 5})));
+    std::vector<Tensor> inputs = makeRequestInputs(g, 3);
+    Executor ex(g, simdBackend());
+
+    TraceOn trace_on;
+    obs::Tracer::instance().clear();
+    ex.run(inputs);
+    std::map<OpKind, std::string> tier;
+    for (const auto &te : obs::Tracer::instance().collect())
+        for (const obs::SpanEvent &ev : te.events)
+            if (ev.kind == obs::SpanKind::Node && ev.backend)
+                tier[static_cast<OpKind>(ev.op)] = ev.backend;
+    EXPECT_EQ(tier[OpKind::Conv2d], "reference");
+    EXPECT_EQ(tier[OpKind::MatMul], "simd");
+    EXPECT_EQ(tier[OpKind::Int8Linear], "reference");
+    EXPECT_EQ(tier[OpKind::Softmax], "reference");
+    EXPECT_EQ(tier[OpKind::Add], "simd");
 }
 
 // ---- end-to-end determinism ------------------------------------------------

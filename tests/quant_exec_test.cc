@@ -2,7 +2,7 @@
  * @file
  * Executable int8 quantization: the quant rewrite as a runnable graph
  * transform, proven by a differential suite (every registry model x
- * {int8, int8-raw, w8} x {reference, optimized} backend x {serial,
+ * {int8, int8-raw, w8} x {reference, simd} backend x {serial,
  * wavefront, batch} runtime, plus engine-cache serving) and unit tests
  * for the kernel/pack/elimination building blocks.
  *
@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "backend_sets.h"
 #include "graph/builder.h"
 #include "graph/executor.h"
 #include "graph/validate.h"
@@ -99,8 +100,8 @@ TEST_P(QuantDifferentialTest, QuantizedMatchesFloatAcrossRuntimes)
 
         const bool act_quant = mode != QuantExecMode::WeightOnly;
         std::vector<Tensor> ref_got;
-        for (const Backend *backend :
-             {&referenceBackend(), &optimizedBackend()}) {
+        const std::vector<Backend> fast = fastBackends();
+        for (const Backend *backend : withReference(fast)) {
             Executor qex(q, *backend);
             std::vector<Tensor> got = qex.run(inputs);
 
@@ -153,8 +154,8 @@ TEST_P(QuantDifferentialTest, Int8EliminationIsBitIdenticalToRaw)
               elim_st.linearsQuantized > 1 ? 1 : 0)
         << info.name;
 
-    for (const Backend *backend :
-         {&referenceBackend(), &optimizedBackend()}) {
+    const std::vector<Backend> fast = fastBackends();
+    for (const Backend *backend : withReference(fast)) {
         Executor rex(raw, *backend);
         Executor eex(elim, *backend);
         EXPECT_EQ(bitDifference(eex.run(inputs), rex.run(inputs)), "")
@@ -318,9 +319,10 @@ TEST(QuantKernelTest, AllZeroActivationQuantizesWithUnitScale)
 
 TEST(QuantKernelTest, PackedAndNaiveGemmsShareBitIdenticalEpilogues)
 {
-    // i32 accumulation is exact, so the tiled [K,N] kernel and the
-    // naive [N,K] kernel must agree to the bit — including ragged
+    // i32 accumulation is exact, so every simd level's int8 kernel and
+    // the naive [N,K] kernel must agree to the bit — including ragged
     // edges that exercise partial tiles.
+    IsaGuard guard;
     for (int64_t m : {1, 3, 4, 5}) {
         for (int64_t k : {1, 7, 32, 63}) {
             for (int64_t n : {1, 15, 16, 33}) {
@@ -336,10 +338,16 @@ TEST(QuantKernelTest, PackedAndNaiveGemmsShareBitIdenticalEpilogues)
 
                 Tensor naive = kernels::qnt::int8LinearRequant(
                     xq, xscale, wq, ws, bias, nullptr, 0);
-                Tensor tiled = kernels::qnt::int8LinearPackedRequant(
-                    xq, xscale, wtq, ws, bias, nullptr, 0);
-                EXPECT_EQ(bitDifference({tiled}, {naive}), "")
-                    << "m=" << m << " k=" << k << " n=" << n;
+                for (platform::IsaLevel l :
+                     platform::supportedIsaLevels()) {
+                    platform::setActiveIsa(l);
+                    Tensor tiled = kernels::sd::int8LinearRequant(
+                        xq, xscale, kernels::sd::packInt8Weight(wtq), ws,
+                        bias);
+                    EXPECT_EQ(bitDifference({tiled}, {naive}), "")
+                        << platform::isaName(l) << " m=" << m
+                        << " k=" << k << " n=" << n;
+                }
 
                 Tensor w8n =
                     kernels::qnt::w8Linear(x, wq, ws, bias);

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "graph/builder.h"
 #include "graph/executor.h"
@@ -17,6 +19,7 @@
 #include "runtime/parallel_executor.h"
 #include "runtime/request_util.h"
 #include "runtime/thread_pool.h"
+#include "tensor/scratch.h"
 
 namespace ngb {
 namespace {
@@ -115,6 +118,58 @@ TEST(ThreadPoolTest, SingleThreadPoolDegradesToSerial)
     ASSERT_EQ(order.size(), 8u);
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(order[static_cast<size_t>(i)], i);
+}
+
+TEST(ThreadPoolTest, BackToBackRegionsNeverLoseATask)
+{
+    // Tiny regions in a tight loop on an oversubscribed pool: a worker
+    // still looping on region k pops region k+1's tasks the moment they
+    // are dealt. Each such task must count against region k+1 — a lost
+    // decrement hangs the join (the ctest timeout names this case).
+    ThreadPool pool(8);
+    std::atomic<int64_t> sum{0};
+    int64_t want = 0;
+    for (int it = 0; it < 20000; ++it) {
+        const size_t n = 2 + static_cast<size_t>(it % 7);
+        pool.parallelFor(n, [&](size_t i, int) {
+            sum += static_cast<int64_t>(i);
+        });
+        want += static_cast<int64_t>(n * (n - 1) / 2);
+    }
+    EXPECT_EQ(sum.load(), want);
+}
+
+TEST(ThreadPoolTest, PresizeScratchGivesEveryWorkerThePeakBlock)
+{
+    ThreadPool pool(4);
+    {
+        // Raise the process scratch high-water mark on this thread.
+        ScratchScope scope;
+        scratchEmpty(Shape{int64_t(1) << 20}, DType::F32);
+    }
+    const int64_t peak = ScratchArena::globalHighWaterBytes();
+    pool.presizeScratch();
+    // Each task waits until all four are running, so the four land on
+    // four distinct worker threads; each reads its own arena.
+    std::vector<int64_t> reserved(4, 0);
+    std::atomic<int> arrived{0};
+    pool.parallelFor(4, [&](size_t, int w) {
+        reserved[static_cast<size_t>(w)] =
+            ScratchArena::local().reservedBytes();
+        ++arrived;
+        auto t0 = std::chrono::steady_clock::now();
+        while (arrived.load() < 4 &&
+               std::chrono::steady_clock::now() - t0 <
+                   std::chrono::seconds(10))
+            std::this_thread::yield();
+    });
+    EXPECT_EQ(arrived.load(), 4);
+    for (int64_t r : reserved)
+        EXPECT_GE(r, peak);
+    // No new peak: a second call allocates nothing.
+    uint64_t before = Storage::heapAllocCount();
+    pool.presizeScratch();
+    EXPECT_EQ(Storage::heapAllocCount(), before);
 }
 
 TEST(ThreadPoolTest, TaskExceptionPropagatesWithoutDeadlock)

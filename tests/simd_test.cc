@@ -1,9 +1,10 @@
 /**
  * @file
- * The explicit-SIMD backend: ISA detection and override semantics,
- * backend wiring and per-op fallback, numerics differentials at every
- * host-supported dispatch level (bit-identity where the contract
- * promises it, tolerance where FMA reassociation changes rounding),
+ * The simd backend: ISA detection and override semantics, backend
+ * wiring and per-op fallback, numerics differentials at every
+ * host-supported dispatch level, the portable one included
+ * (bit-identity where the contract promises it, tolerance where FMA
+ * rounding differs),
  * tile-candidate bit-identity (what makes autotuning a pure timing
  * decision), the persistent tuning cache's round-trip and invalidation
  * rules, ISA-keyed engine caching, and the full-registry differential
@@ -11,15 +12,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
+#include "backend_sets.h"
 #include "graph/executor.h"
 #include "models/registry.h"
 #include "ops/backend.h"
 #include "ops/kernels.h"
-#include "ops/optimized_kernels.h"
 #include "ops/simd_backend.h"
 #include "platform/cpu_features.h"
 #include "platform/simd.h"
@@ -34,22 +36,9 @@ namespace ngb {
 namespace {
 
 namespace kn = kernels;
-namespace ko = kernels::opt;
 namespace kq = kernels::qnt;
 namespace sd = kernels::sd;
 namespace pf = platform;
-
-/** Restore the process dispatch level on scope exit, so per-level
- *  tests cannot leak a forced ISA into later tests. */
-class IsaGuard
-{
-  public:
-    IsaGuard() : saved_(pf::activeIsa()) {}
-    ~IsaGuard() { pf::setActiveIsa(saved_); }
-
-  private:
-    pf::IsaLevel saved_;
-};
 
 ::testing::AssertionResult
 tensorsBitIdentical(const Tensor &a, const Tensor &b)
@@ -103,31 +92,54 @@ TEST(CpuFeaturesTest, SupportedLevelsAscendFromScalar)
 
 TEST(CpuFeaturesTest, ForcingSupportedLevelsWorksOveraskThrows)
 {
+    // Every enum value, not only the supported ones: a level above what
+    // this host/build dispatches, or of the other architecture (neon on
+    // x86, avx2 on aarch64), must be a loud error from setActiveIsa and
+    // a clamp in makeSimdBackend — never an illegal-instruction time
+    // bomb or a missing kernel table.
     IsaGuard guard;
-    for (pf::IsaLevel l : pf::supportedIsaLevels()) {
-        pf::setActiveIsa(l);
-        EXPECT_EQ(pf::activeIsa(), l);
+    const std::vector<pf::IsaLevel> supported = pf::supportedIsaLevels();
+    Graph g =
+        models::findModel("vit_b").build(ModelConfig{1, 8, false, 0, 8});
+    std::vector<Tensor> inputs = makeRequestInputs(g, 5);
+    std::vector<Tensor> want = Executor(g, referenceBackend()).run(inputs);
+    Tensor a = Tensor::randn(Shape{5, 19}, 1);
+    Tensor b = Tensor::randn(Shape{19, 23}, 2);
+    for (pf::IsaLevel l : {pf::IsaLevel::Scalar, pf::IsaLevel::Neon,
+                           pf::IsaLevel::Avx2, pf::IsaLevel::Avx512}) {
+        const bool ok = std::find(supported.begin(), supported.end(), l) !=
+                        supported.end();
+        EXPECT_EQ(pf::clampIsa(l) == l, ok) << pf::isaName(l);
+        pf::setActiveIsa(pf::IsaLevel::Scalar);
+        if (ok) {
+            EXPECT_NO_THROW(pf::setActiveIsa(l)) << pf::isaName(l);
+            EXPECT_EQ(pf::activeIsa(), l);
+        } else {
+            EXPECT_THROW(pf::setActiveIsa(l), std::exception)
+                << pf::isaName(l);
+            EXPECT_EQ(pf::activeIsa(), pf::IsaLevel::Scalar);
+        }
+        // Whatever level is now active, the free-function entries and
+        // a backend pinned to l both run.
+        EXPECT_TRUE(tensorsClose(sd::matmul(a, b), kn::matmul(a, b)))
+            << pf::isaName(l);
+        Backend bk = makeSimdBackend(l);
+        EXPECT_EQ(closeDifference(Executor(g, bk).run(inputs), want), "")
+            << pf::isaName(l);
     }
-    // Any level above what this host/build dispatches must be a loud
-    // error, never a silent illegal-instruction time bomb.
-    for (int l = static_cast<int>(pf::detectIsa()) + 1;
-         l <= static_cast<int>(pf::IsaLevel::Avx512); ++l)
-        EXPECT_THROW(pf::setActiveIsa(static_cast<pf::IsaLevel>(l)),
-                     std::exception);
     pf::setActiveIsaName("auto");
     EXPECT_EQ(pf::activeIsa(), pf::detectIsa());
 }
 
 // ---- backend wiring & per-op fallback ------------------------------------
 
-TEST(SimdBackendTest, RegisteredWithFallbackChainToOptimized)
+TEST(SimdBackendTest, RegisteredWithFallbackChainToReference)
 {
     const Backend &b = findBackend("simd");
     EXPECT_EQ(b.name(), "simd");
     ASSERT_NE(b.fallback(), nullptr);
-    EXPECT_EQ(b.fallback()->name(), "optimized");
-    ASSERT_NE(b.fallback()->fallback(), nullptr);
-    EXPECT_EQ(b.fallback()->fallback()->name(), "reference");
+    EXPECT_EQ(b.fallback()->name(), "reference");
+    EXPECT_EQ(b.fallback()->fallback(), nullptr);
 
     bool listed = false;
     for (const std::string &n : backendNames())
@@ -135,32 +147,35 @@ TEST(SimdBackendTest, RegisteredWithFallbackChainToOptimized)
     EXPECT_TRUE(listed);
 }
 
-TEST(SimdBackendTest, ScalarLevelRegistersNothingButStillResolves)
+TEST(SimdBackendTest, PortableLevelIsARealKernelTable)
 {
-    Backend b = makeSimdBackend(pf::IsaLevel::Scalar);
-    EXPECT_EQ(b.numKernels(), 0u);
-    EXPECT_FALSE(b.handles(OpKind::MatMul));
-    // Per-op degradation: every kernel resolves through the chain.
-    EXPECT_NO_THROW(b.kernelFor(OpKind::MatMul));
-    EXPECT_NO_THROW(b.kernelFor(OpKind::Conv2d));
+    const simd::SimdOps *ops = simd::simdOpsFor(pf::IsaLevel::Scalar);
+    ASSERT_NE(ops, nullptr);
+    EXPECT_EQ(ops->level, pf::IsaLevel::Scalar);
+    EXPECT_STREQ(ops->name, pf::isaName(pf::IsaLevel::Scalar));
+    // 16 lanes: the default {4, 1} tile is the 4x16 register tile.
+    EXPECT_EQ(ops->vectorWidthF32, 16);
+    EXPECT_EQ(simd::gemmTileCandidates(pf::IsaLevel::Scalar)[0].mr, 4);
+    EXPECT_EQ(simd::gemmTileCandidates(pf::IsaLevel::Scalar)[0].nv, 1);
 }
 
-TEST(SimdBackendTest, UnregisteredOpsFallThroughPerOp)
+TEST(SimdBackendTest, EveryLevelRegistersTheSameKernelSet)
 {
+    const size_t want = makeSimdBackend(pf::IsaLevel::Scalar).numKernels();
     for (pf::IsaLevel l : pf::supportedIsaLevels()) {
         Backend b = makeSimdBackend(l);
-        // Never registered at any level: conv, softmax, the
-        // transcendental activations, fused groups.
+        EXPECT_EQ(b.numKernels(), want) << pf::isaName(l);
+        for (OpKind k : {OpKind::MatMul, OpKind::Linear, OpKind::BMM,
+                         OpKind::Int8Linear, OpKind::LayerNorm,
+                         OpKind::BatchNorm2d, OpKind::Softmax,
+                         OpKind::GELU, OpKind::SiLU, OpKind::ReLU,
+                         OpKind::Add, OpKind::Div, OpKind::Fused})
+            EXPECT_TRUE(b.handles(k))
+                << pf::isaName(l) << " " << opKindName(k);
+        // Never registered: conv (fused Conv+BN groups excepted),
+        // pooling, layout — served per-op by reference.
         EXPECT_FALSE(b.handles(OpKind::Conv2d));
-        EXPECT_FALSE(b.handles(OpKind::Softmax));
-        EXPECT_FALSE(b.handles(OpKind::GELU));
-        EXPECT_FALSE(b.handles(OpKind::Fused));
         EXPECT_NO_THROW(b.kernelFor(OpKind::Conv2d));
-        if (l != pf::IsaLevel::Scalar) {
-            EXPECT_TRUE(b.handles(OpKind::MatMul));
-            EXPECT_TRUE(b.handles(OpKind::Linear));
-            EXPECT_TRUE(b.handles(OpKind::LayerNorm));
-        }
     }
 }
 
@@ -169,9 +184,13 @@ TEST(SimdBackendTest, UnregisteredOpsFallThroughPerOp)
 TEST(SimdKernelsTest, GemmMatchesReferenceAtEveryLevel)
 {
     IsaGuard guard;
+    // Shapes straddling every register tile (4x16 portable, the
+    // vector widths): exact multiples, tails in M only, N only, both,
+    // and degenerate single-element GEMMs.
     const int64_t shapes[][3] = {
-        {1, 1, 1},  {3, 5, 7},   {8, 16, 8},
-        {5, 4, 64}, {64, 33, 17}, {17, 96, 33},
+        {1, 1, 1},   {3, 5, 7},    {8, 16, 8},  {5, 4, 64},
+        {64, 33, 17}, {17, 96, 33}, {4, 16, 16}, {127, 63, 65},
+        {16, 1, 16}, {2, 300, 2},
     };
     for (pf::IsaLevel l : pf::supportedIsaLevels()) {
         pf::setActiveIsa(l);
@@ -182,18 +201,28 @@ TEST(SimdKernelsTest, GemmMatchesReferenceAtEveryLevel)
             EXPECT_TRUE(tensorsClose(sd::matmul(a, b), kn::matmul(a, b)))
                 << pf::isaName(l) << " " << s[0] << "x" << s[1] << "x"
                 << s[2];
+            Tensor x = Tensor::randn(Shape{2, s[0], s[1]}, 47);
+            Tensor w = Tensor::randn(Shape{s[2], s[1]}, 53);  // [N,K]
+            Tensor bias = Tensor::randn(Shape{s[2]}, 59);
+            Tensor wt = sd::packWeightTranspose(w);
+            EXPECT_TRUE(tensorsClose(sd::linearPacked(x, wt, bias),
+                                     kn::linear(x, w, bias)))
+                << pf::isaName(l) << " linear " << s[0] << "x" << s[1]
+                << "x" << s[2];
+            EXPECT_TRUE(tensorsClose(sd::linearPacked(x, wt, Tensor()),
+                                     kn::linear(x, w, Tensor())))
+                << pf::isaName(l) << " linear(no bias)";
+            Tensor ba = Tensor::randn(Shape{3, s[0], s[1]}, 61);
+            Tensor bb = Tensor::randn(Shape{3, s[1], s[2]}, 67);
+            EXPECT_TRUE(tensorsClose(sd::bmm(ba, bb), kn::bmm(ba, bb)))
+                << pf::isaName(l) << " bmm";
         }
-        Tensor x = Tensor::randn(Shape{9, 48}, 9);
-        Tensor w = Tensor::randn(Shape{33, 48}, 10);  // [N,K]
-        Tensor bias = Tensor::randn(Shape{33}, 11);
-        Tensor wt = ko::packWeightTranspose(w);
-        EXPECT_TRUE(tensorsClose(sd::linearPacked(x, wt, bias),
-                                 kn::linear(x, w, bias)))
-            << pf::isaName(l);
-        Tensor ba = Tensor::randn(Shape{3, 5, 12}, 12);
-        Tensor bb = Tensor::randn(Shape{3, 12, 9}, 13);
-        EXPECT_TRUE(tensorsClose(sd::bmm(ba, bb), kn::bmm(ba, bb)))
-            << pf::isaName(l);
+        // Non-contiguous A operand (transposed view), as attention
+        // builds.
+        Tensor a = Tensor::randn(Shape{24, 12}, 71).transpose(0, 1);
+        Tensor b = Tensor::randn(Shape{24, 20}, 72);
+        EXPECT_TRUE(tensorsClose(sd::matmul(a, b), kn::matmul(a, b)))
+            << pf::isaName(l) << " transposed A";
     }
 }
 
@@ -218,8 +247,69 @@ TEST(SimdKernelsTest, ElementwiseBitIdenticalAtEveryLevel)
             EXPECT_TRUE(tensorsBitIdentical(sd::mulScalar(x, -1.5f),
                                             kn::mulScalar(x, -1.5f)))
                 << pf::isaName(l) << " n=" << n;
+            EXPECT_TRUE(tensorsBitIdentical(sd::sub(x, y), kn::sub(x, y)))
+                << pf::isaName(l) << " n=" << n;
+            EXPECT_TRUE(tensorsBitIdentical(sd::div(x, y), kn::div(x, y)))
+                << pf::isaName(l) << " n=" << n;
         }
     }
+}
+
+TEST(SimdKernelsTest, OrderPreservingKernelsBitIdentical)
+{
+    // The activation sweeps, last-dim softmax, and the hoisted batch
+    // norm evaluate the reference's float expressions in the
+    // reference's order.
+    using sk = kn::scalar::UnaryKind;
+    Tensor x = Tensor::randn(Shape{64, 33}, 21);
+    const std::pair<sk, Tensor (*)(const Tensor &, Tensor)> acts[] = {
+        {sk::Gelu, kn::gelu},       {sk::Silu, kn::silu},
+        {sk::Sigmoid, kn::sigmoid}, {sk::Tanh, kn::tanhOp},
+        {sk::Exp, kn::expOp},
+    };
+    for (const auto &[kind, ref] : acts)
+        EXPECT_TRUE(tensorsBitIdentical(sd::unary({kind, 0.0f}, x),
+                                        ref(x, {})))
+            << static_cast<int>(kind);
+
+    Tensor logits = Tensor::randn(Shape{5, 13, 17}, 23);
+    EXPECT_TRUE(tensorsBitIdentical(sd::softmax(logits, -1),
+                                    kn::softmax(logits, -1)));
+
+    Tensor img = Tensor::randn(Shape{2, 6, 9, 9}, 24);
+    Tensor gm = Tensor::randn(Shape{6}, 25, 0.1f);
+    Tensor bt = Tensor::randn(Shape{6}, 26, 0.1f);
+    Tensor mn = Tensor::randn(Shape{6}, 27, 0.1f);
+    Tensor vr = Tensor::full(Shape{6}, 0.9f);
+    EXPECT_TRUE(tensorsBitIdentical(
+        sd::batchNorm2d(img, gm, bt, mn, vr, 1e-5f),
+        kn::batchNorm2d(img, gm, bt, mn, vr, 1e-5f)));
+}
+
+TEST(SimdKernelsTest, NonFastInputsFallBackToReferenceSemantics)
+{
+    IsaGuard guard;
+    for (pf::IsaLevel l : pf::supportedIsaLevels()) {
+        pf::setActiveIsa(l);
+        // F16 input: the vector path requires F32.
+        Tensor h = Tensor::randn(Shape{40}, 31).to(DType::F16);
+        EXPECT_TRUE(tensorsBitIdentical(sd::relu(h), kn::relu(h)))
+            << pf::isaName(l);
+        // Non-contiguous view input.
+        Tensor x = Tensor::randn(Shape{12, 10}, 32).transpose(0, 1);
+        EXPECT_TRUE(tensorsBitIdentical(
+            sd::unary({kn::scalar::UnaryKind::Gelu, 0.0f}, x),
+            kn::gelu(x)))
+            << pf::isaName(l);
+        // Broadcasting add (shapes differ): reference broadcast path.
+        Tensor a = Tensor::randn(Shape{8, 5}, 33);
+        Tensor row = Tensor::randn(Shape{5}, 34);
+        EXPECT_TRUE(tensorsBitIdentical(sd::add(a, row), kn::add(a, row)))
+            << pf::isaName(l);
+    }
+    // Softmax over a non-terminal dim: reference permuting path.
+    Tensor t = Tensor::randn(Shape{4, 6, 8}, 35);
+    EXPECT_TRUE(tensorsBitIdentical(sd::softmax(t, 1), kn::softmax(t, 1)));
 }
 
 TEST(SimdKernelsTest, LayerNormWithinToleranceAtEveryLevel)
@@ -236,6 +326,20 @@ TEST(SimdKernelsTest, LayerNormWithinToleranceAtEveryLevel)
                                      1e-3f, 1e-4f))
                 << pf::isaName(l) << " d=" << d;
         }
+        // Large common offset, tiny spread: an E[x^2]-mean^2 shortcut
+        // would cancel catastrophically here (variance ~1e-2 against
+        // squared moments ~1e6); the centered two-pass moments must
+        // stay with the reference. The deviations themselves carry
+        // only ~3 significant digits at offset 1000, so the bound is
+        // an absolute z-score one that catches a blowup.
+        Tensor shifted = kn::addScalar(
+            Tensor::randn(Shape{8, 256}, 83, 0.1f), 1000.0f);
+        Tensor g1 = Tensor::full(Shape{256}, 1.0f);
+        Tensor b0 = Tensor::zeros(Shape{256});
+        EXPECT_TRUE(tensorsClose(sd::layerNorm(shifted, g1, b0, 1e-5f),
+                                 kn::layerNorm(shifted, g1, b0, 1e-5f),
+                                 1e-2f, 5e-2f))
+            << pf::isaName(l) << " shifted";
     }
 }
 
@@ -245,8 +349,6 @@ TEST(SimdKernelsTest, EveryTileCandidateProducesIdenticalBits)
 {
     IsaGuard guard;
     for (pf::IsaLevel l : pf::supportedIsaLevels()) {
-        if (l == pf::IsaLevel::Scalar)
-            continue;
         pf::setActiveIsa(l);
         const std::vector<simd::TileConfig> &cands =
             simd::gemmTileCandidates(l);
@@ -287,8 +389,9 @@ TEST(SimdKernelsTest, Int8RequantBitIdenticalIncludingKTails)
             float xScale = kq::scaleValue(xs);
             Tensor scales = quant::perChannelScales(w);
             Tensor wtq = quant::packWeightInt8(w, scales);
-            Tensor want = kq::int8LinearPackedRequant(
-                xq, xScale, wtq, scales, bias, nullptr, 0);
+            Tensor want = kq::int8LinearRequant(
+                xq, xScale, quant::quantizeWeightRows(w, scales), scales,
+                bias, nullptr, 0);
             Tensor got = sd::int8LinearRequant(
                 xq, xScale, sd::packInt8Weight(wtq), scales, bias);
             EXPECT_TRUE(tensorsBitIdentical(got, want))
