@@ -107,16 +107,11 @@ measureModel(const std::string &name, int rounds)
     ThreadPool pool1(1), pool2(2), pool8(8);
     std::vector<BatchDriver> drivers;
     drivers.reserve(kConfigs);
-    drivers.emplace_back(g, pool1, plan, benchBackend(), true,
-                         IntraOpMode::Off);
-    drivers.emplace_back(g, pool8, plan, benchBackend(), true,
-                         IntraOpMode::Off);
-    drivers.emplace_back(g, pool1, plan, benchBackend(), true,
-                         IntraOpMode::On);
-    drivers.emplace_back(g, pool2, plan, benchBackend(), true,
-                         IntraOpMode::On);
-    drivers.emplace_back(g, pool8, plan, benchBackend(), true,
-                         IntraOpMode::On);
+    drivers.emplace_back(g, pool1, plan, benchBackend(), IntraOpMode::Off);
+    drivers.emplace_back(g, pool8, plan, benchBackend(), IntraOpMode::Off);
+    drivers.emplace_back(g, pool1, plan, benchBackend(), IntraOpMode::On);
+    drivers.emplace_back(g, pool2, plan, benchBackend(), IntraOpMode::On);
+    drivers.emplace_back(g, pool8, plan, benchBackend(), IntraOpMode::On);
 
     // Warm every driver once: param materialization, backend prepare,
     // per-thread tuning, arena/scratch growth — one-time costs that

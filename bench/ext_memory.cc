@@ -4,7 +4,8 @@
  * behaviour for every registry model.
  *
  * For each model the harness builds one EnginePlan and runs the same
- * requests through a heap-backed and an arena-backed BatchDriver:
+ * requests through a BatchDriver (arena-backed) and through the serial
+ * heap-allocating Executor, the oracle:
  *
  *  - planned:  MemoryPlan::arenaBytes (the lifetime-reuse peak) vs
  *              totalBytes (what a no-reuse allocator would hold) and
@@ -14,7 +15,8 @@
  *              split into a warm-up round and a steady-state round
  *              (outputs dropped between rounds, so arena blocks and
  *              scratch recycle the way a serving loop recycles them);
- *  - verified: arena outputs are bit-identical to heap outputs.
+ *  - verified: arena outputs are bit-identical to the serial
+ *              Executor's heap outputs.
  *
  * `--json FILE` writes BENCH_memory.json. `--check` enforces the CI
  * bars: zero steady-state allocations and full no-alias bit-identity
@@ -30,6 +32,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "graph/executor.h"
 #include "models/registry.h"
 #include "runtime/batch_driver.h"
 #include "runtime/request_util.h"
@@ -46,7 +49,7 @@ struct ModelMemory {
     double reuseFactor = 1.0;
     int64_t measuredPeakBytes = 0;
     double utilization = 0;
-    double heapAllocsPerReq = 0;    ///< heap driver, steady state
+    double heapAllocsPerReq = 0;    ///< serial Executor, steady state
     double arenaAllocsPerReq = 0;   ///< arena driver, steady state
     int64_t arenaWarmupAllocs = 0;  ///< blocks + scratch growth
     bool bitIdentical = false;
@@ -85,12 +88,18 @@ measureModel(const std::string &name, ThreadPool &pool, int requests,
     m.plannedTotalBytes = plan->memplan.totalBytes;
     m.reuseFactor = plan->memplan.reuseFactor();
 
-    BatchDriver heap(g, pool, defaultBackend(), /*arena=*/false);
-    BatchDriver arena(g, pool, plan, defaultBackend(), /*arena=*/true);
+    Executor heap(g, defaultBackend());
+    BatchDriver arena(g, pool, plan, defaultBackend());
 
     // Reference outputs + warm-up (param materialization, backend
-    // prepare, scratch growth) before any steady-state counting.
-    std::vector<std::vector<Tensor>> heap_outs = heap.run(reqs);
+    // prepare) before any steady-state counting.
+    auto run_heap = [&] {
+        std::vector<std::vector<Tensor>> outs;
+        for (const std::vector<Tensor> &req : reqs)
+            outs.push_back(heap.run(req));
+        return outs;
+    };
+    std::vector<std::vector<Tensor>> heap_outs = run_heap();
 
     uint64_t before = Storage::heapAllocCount();
     std::vector<std::vector<Tensor>> arena_outs = arena.run(reqs);
@@ -121,7 +130,7 @@ measureModel(const std::string &name, ThreadPool &pool, int requests,
     heap_outs.clear();
     before = Storage::heapAllocCount();
     for (int i = 0; i < rounds; ++i)
-        heap.run(reqs);
+        run_heap();
     m.heapAllocsPerReq =
         static_cast<double>(Storage::heapAllocCount() - before) /
         static_cast<double>(rounds * requests);
@@ -181,7 +190,7 @@ main(int argc, char **argv)
         if (check) {
             if (!m.bitIdentical) {
                 std::printf("CHECK FAILED: %s arena outputs differ from "
-                            "heap\n",
+                            "the serial heap Executor\n",
                             m.model.c_str());
                 ok = false;
             }

@@ -92,7 +92,7 @@ measureModel(const std::string &name, ThreadPool &pool, int requests,
     m.model = name;
 
     auto plan = buildEnginePlan(g);
-    BatchDriver driver(g, pool, plan, defaultBackend(), /*arena=*/true);
+    BatchDriver driver(g, pool, plan, defaultBackend());
 
     // Warm up with everything off: param materialization, backend
     // prepare, arena/scratch growth — none of that is observation

@@ -85,7 +85,7 @@ measureModel(const std::string &name, ThreadPool &pool, int requests,
     m.model = name;
 
     auto plan = buildEnginePlan(g);
-    BatchDriver driver(g, pool, plan, defaultBackend(), /*arena=*/true);
+    BatchDriver driver(g, pool, plan, defaultBackend());
 
     // Warm up with sampling off: param materialization, backend
     // prepare, arena growth, and (on capable hosts) the lazy

@@ -75,8 +75,7 @@ measureModel(const std::string &name, ThreadPool &pool)
         reqs.push_back(
             makeRequestInputs(g, 5 + 17 * static_cast<uint64_t>(r)));
 
-    BatchDriver driver(g, pool, buildEnginePlan(g), defaultBackend(),
-                       /*arena=*/true);
+    BatchDriver driver(g, pool);
     driver.run(reqs);  // warm-up outside the energy window
 
     perf::RaplReading r0 = perf::readRaplJoules();

@@ -46,8 +46,7 @@ measuredRow(const std::string &name, ThreadPool &pool,
         reqs.push_back(
             makeRequestInputs(g, 99 + 31 * static_cast<uint64_t>(r)));
 
-    BatchDriver driver(g, pool, buildEnginePlan(g), defaultBackend(),
-                       /*arena=*/true);
+    BatchDriver driver(g, pool);
     driver.run(reqs);  // warm-up: params, prepare, arena growth
     driver.run(reqs);
     const RuntimeProfile &p = driver.profile();

@@ -33,7 +33,6 @@
 #include "profiler/trace_export.h"
 #include "quant/quant_mode.h"
 #include "quant/quantize_pass.h"
-#include "runtime/arena.h"
 #include "runtime/batch_driver.h"
 #include "runtime/parallel_executor.h"
 #include "runtime/request_util.h"
@@ -56,15 +55,8 @@ struct RuntimeCli {
     bool fuse = false;       ///< applyFusion before executing; in
                              ///< parallel mode the unfused graph is
                              ///< measured too and printed side by side
-    std::string arena;       ///< "on"/"off"; "" = $NGB_ARENA default
     std::string quant;       ///< quant mode; "" = $NGB_QUANT default
     std::string intraop;     ///< "on"/"off"/"auto"; "" = $NGB_INTRAOP
-
-    /** Resolved arena mode: explicit flag beats the environment. */
-    bool arenaOn() const
-    {
-        return arena.empty() ? arenaEnabledByEnv() : arena == "on";
-    }
 
     /** Resolved intra-op mode: explicit flag beats $NGB_INTRAOP. */
     IntraOpMode intraOpMode() const
@@ -224,12 +216,9 @@ runRuntimeModel(const std::string &name, const BenchConfig &cfg,
                   << " folded into GEMM kernels\n";
 
     std::vector<std::vector<Tensor>> outs(requests);
-    std::shared_ptr<EnginePlan> shared_plan;  // reused by verify's A/B
     if (rt.parallel && requests > 1) {
         // Inter-request parallelism: one planned graph, N requests.
-        shared_plan = buildEnginePlan(g);
-        BatchDriver driver(g, pool, shared_plan, backend, rt.arenaOn(),
-                           rt.intraOpMode());
+        BatchDriver driver(g, pool, backend, rt.intraOpMode());
         outs = driver.run(reqs);
         printMemoryPlan(driver.memoryPlan(), std::cout);
         printRuntimeReport(driver.profile(), std::cout);
@@ -242,8 +231,7 @@ runRuntimeModel(const std::string &name, const BenchConfig &cfg,
     } else if (rt.parallel) {
         // Single request: wavefront (intra-graph) parallelism, deep
         // levels handing the pool to GEMMs per the hybrid scheduler.
-        ParallelExecutor ex(g, pool, backend, rt.arenaOn(),
-                            rt.intraOpMode());
+        ParallelExecutor ex(g, pool, backend, rt.intraOpMode());
         outs[0] = ex.run(reqs[0]);
         printMemoryPlan(ex.memoryPlan(), std::cout);
         printRuntimeReport(ex.profile(), std::cout);
@@ -264,8 +252,8 @@ runRuntimeModel(const std::string &name, const BenchConfig &cfg,
     if (rt.verify) {
         // Bit-identity against a serial walk of the SAME backend:
         // parallelism / batching must never change a single bit. The
-        // serial Executor allocates from the heap, so with --arena on
-        // this doubles as the heap-vs-arena bit-identity assertion.
+        // serial Executor allocates from the heap, so for the parallel
+        // runtime this doubles as the heap-vs-arena assertion.
         Executor ref(g, backend);
         for (size_t r = 0; r < requests; ++r) {
             if (!bitIdentical(outs[r], ref.run(reqs[r]))) {
@@ -277,29 +265,7 @@ runRuntimeModel(const std::string &name, const BenchConfig &cfg,
         std::cout << "  verify: all " << requests
                   << " request outputs bit-identical to serial "
                   << backend.name()
-                  << (rt.parallel && rt.arenaOn() ? " (arena vs heap)"
-                                                  : "")
-                  << "\n";
-        // And the other arena A/B direction: an arena-mode parallel
-        // run must match a heap-mode parallel run bit for bit (the
-        // plan is mode-independent, so the batch path's is reused).
-        if (rt.parallel && rt.arenaOn()) {
-            if (!shared_plan)
-                shared_plan = buildEnginePlan(g);
-            BatchDriver heap_driver(g, pool, shared_plan, backend,
-                                    /*arena=*/false, rt.intraOpMode());
-            std::vector<std::vector<Tensor>> heap_outs =
-                heap_driver.run(reqs);
-            for (size_t r = 0; r < requests; ++r) {
-                if (!bitIdentical(outs[r], heap_outs[r])) {
-                    std::cout << "  VERIFY FAILED: request " << r
-                              << " arena vs heap parallel run\n";
-                    return false;
-                }
-            }
-            std::cout << "  verify: arena outputs bit-identical to a "
-                         "heap-mode parallel run\n";
-        }
+                  << (rt.parallel ? " (arena vs heap)" : "") << "\n";
         // Fused execution must reproduce the unfused graph under the
         // SAME backend: bit-identical where chains are interpreted /
         // single-passed, within tolerance ONLY where a non-reference
@@ -489,7 +455,6 @@ runtimeMain(const BenchConfig &cfg, const RuntimeCli &rt,
             r.runtime.maxWidth = profile.schedule.maxWidth;
             r.runtime.arenaBytes = memplan.arenaBytes;
             r.runtime.totalTensorBytes = memplan.totalBytes;
-            r.runtime.arena = profile.memory.arena;
             r.runtime.measuredPeakBytes = profile.memory.boundPeakBytes;
             r.runtime.heapAllocs = profile.memory.heapAllocs;
             r.runtime.scratchPeakBytes = profile.memory.scratchPeakBytes;
@@ -537,7 +502,6 @@ serveMain(const BenchConfig &cfg, const RuntimeCli &rt,
     sc.engine.backend = rt.backend;  // "" = process default
     if (rt.fuse)
         sc.engine.fuse = true;  // default: $NGB_FUSE
-    sc.engine.arena = rt.arenaOn();
     if (!rt.quant.empty())  // default: $NGB_QUANT (EngineConfig)
         sc.engine.quant = quant::quantModeName(
             quant::parseQuantMode(rt.quant));
@@ -568,7 +532,6 @@ serveMain(const BenchConfig &cfg, const RuntimeCli &rt,
               << (sc.engine.fuse ? " (fused)" : "")
               << (sc.engine.quant != "off" ? "  quant=" + sc.engine.quant
                                            : "")
-              << (sc.engine.arena ? "  memory=arena" : "  memory=heap")
               << "  intraop=" << intraOpModeName(sc.engine.intraop)
               << "  seed=" << sc.seed << "\n";
 
@@ -663,15 +626,6 @@ usage()
         "                       (default) uses runtime CPU detection.\n"
         "                       $NGB_ISA sets it ambiently (clamped,\n"
         "                       with a warning, instead of erroring)\n"
-        "  --arena MODE         on | off: execute through planned,\n"
-        "                       pooled per-request memory arenas (the\n"
-        "                       MemoryPlan made executable): zero\n"
-        "                       steady-state tensor mallocs/memsets.\n"
-        "                       Applies to --runtime parallel and\n"
-        "                       --serve; bit-identical to heap. With\n"
-        "                       --verify, heap-vs-arena identity is\n"
-        "                       asserted. $NGB_ARENA=1 sets the\n"
-        "                       process default\n"
         "  --quant MODE         executable int8 quantization, applied\n"
         "                       before fusion and planning:\n"
         "                         int8     activations + weights int8,\n"
@@ -928,12 +882,6 @@ main(int argc, char **argv)
             }
         } else if (a == "--fuse") {
             rt.fuse = true;
-        } else if (a == "--arena") {
-            rt.arena = next();
-            if (rt.arena != "on" && rt.arena != "off") {
-                std::cerr << "--arena expects on|off\n";
-                return 2;
-            }
         } else if (a == "--quant") {
             rt.quant = next();
             try {
@@ -1042,11 +990,6 @@ main(int argc, char **argv)
         std::cerr << "--scale must be >= 1\n";
         return 2;
     }
-    if (!rt.arena.empty() && !rt.enabled && !sv.enabled) {
-        std::cerr << "--arena requires --runtime or --serve (the "
-                     "analytical bench does not allocate tensors)\n";
-        return 2;
-    }
     if (!rt.quant.empty() && !rt.enabled && !sv.enabled) {
         std::cerr << "--quant requires --runtime or --serve (use "
                      "--quantize for the modeled LLM.int8() rewrite in "
@@ -1056,12 +999,6 @@ main(int argc, char **argv)
     if (!rt.quant.empty() && cfg.quantize) {
         std::cerr << "--quant and --quantize are mutually exclusive "
                      "(executable int8 vs the modeled rewrite)\n";
-        return 2;
-    }
-    if (rt.arenaOn() && rt.enabled && !rt.parallel && !rt.arena.empty()) {
-        std::cerr << "--arena on requires --runtime parallel or --serve "
-                     "(the serial reference walk stays heap-backed as "
-                     "the verification baseline)\n";
         return 2;
     }
     if (!rt.backend.empty()) {

@@ -1,11 +1,12 @@
 #include "deploy/fusion.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
+
+#include "platform/env.h"
 
 namespace ngb {
 
@@ -404,8 +405,7 @@ executableFusionConfig()
 bool
 fuseEnabledByEnv()
 {
-    const char *env = std::getenv("NGB_FUSE");
-    return env && *env && std::string(env) != "0";
+    return platform::envFlag("NGB_FUSE");
 }
 
 }  // namespace ngb

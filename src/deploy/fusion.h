@@ -108,7 +108,7 @@ Graph applyFusion(const Graph &g, const FusionConfig &cfg,
  */
 FusionConfig executableFusionConfig();
 
-/** True when $NGB_FUSE is set non-empty and not "0" — the process
+/** True when $NGB_FUSE is on (platform::parseEnvFlag) — the process
  *  default for "apply fusion before executing" (serve engines, CLI). */
 bool fuseEnabledByEnv();
 

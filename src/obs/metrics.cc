@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "obs/json_util.h"
 #include "obs/perf.h"
 #include "obs/trace.h"
+#include "platform/env.h"
 #include "tensor/scratch.h"
 #include "tensor/tensor.h"
 
@@ -15,14 +15,7 @@ namespace obs {
 
 namespace detail {
 
-static bool
-envFlag(const char *name)
-{
-    const char *v = std::getenv(name);
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-std::atomic<bool> g_metricsEnabled{envFlag("NGB_METRICS")};
+std::atomic<bool> g_metricsEnabled{platform::envFlag("NGB_METRICS")};
 
 }  // namespace detail
 

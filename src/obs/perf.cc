@@ -1,24 +1,13 @@
 #include "obs/perf.h"
 
-#include <cstdlib>
+#include "platform/env.h"
 
 namespace ngb {
 namespace obs {
 
 namespace detail {
 
-namespace {
-
-bool
-envFlag(const char *name)
-{
-    const char *v = std::getenv(name);
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-}  // namespace
-
-std::atomic<bool> g_perfEnabled{envFlag("NGB_PERF")};
+std::atomic<bool> g_perfEnabled{platform::envFlag("NGB_PERF")};
 
 }  // namespace detail
 

@@ -1,10 +1,10 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "obs/chrome_trace.h"
 #include "ops/op_types.h"
+#include "platform/env.h"
 #include "tensor/dtype.h"
 
 namespace ngb {
@@ -12,14 +12,7 @@ namespace obs {
 
 namespace detail {
 
-static bool
-envFlag(const char *name)
-{
-    const char *v = std::getenv(name);
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-std::atomic<bool> g_traceEnabled{envFlag("NGB_TRACE")};
+std::atomic<bool> g_traceEnabled{platform::envFlag("NGB_TRACE")};
 
 }  // namespace detail
 

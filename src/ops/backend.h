@@ -62,11 +62,11 @@ struct KernelContext {
 
     /**
      * Output-buffer provider installed by the executor. Null means
-     * heap allocation (out() still works); the runtime installs an
-     * ArenaAllocator here when executing with planned arenas, so a
-     * non-null alloc doubles as the "arena execution" signal for the
-     * few kernels whose copy-vs-view policy depends on it (Split,
-     * fused layout tails).
+     * heap allocation (the serial Executor; out() still works); the
+     * runtime executors install an ArenaAllocator whenever their
+     * memory plan places any output, so a non-null alloc doubles as
+     * the "arena execution" signal for the few kernels whose
+     * copy-vs-view policy depends on it (Split, fused layout tails).
      */
     Allocator *alloc = nullptr;
 

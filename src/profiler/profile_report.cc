@@ -145,8 +145,8 @@ printReport(const ProfileReport &r, std::ostream &os)
         os << "    levels=" << rt.levels << " max_width=" << rt.maxWidth
            << "  arena " << rt.arenaBytes / 1024 << " KiB vs no-reuse "
            << rt.totalTensorBytes / 1024 << " KiB\n";
-        os << "    memory (measured): " << (rt.arena ? "arena" : "heap")
-           << " execution, peak bound " << rt.measuredPeakBytes / 1024
+        os << "    memory (measured): peak bound "
+           << rt.measuredPeakBytes / 1024
            << " KiB, " << rt.heapAllocs << " heap tensor allocs, scratch "
            << rt.scratchPeakBytes / 1024 << " KiB (workers sum "
            << rt.scratchWorkerSumBytes / 1024 << " KiB)\n";
@@ -201,7 +201,6 @@ writeJsonReport(const ProfileReport &r, std::ostream &os)
            << ", \"max_width\": " << r.runtime.maxWidth
            << ", \"arena_bytes\": " << r.runtime.arenaBytes
            << ", \"total_tensor_bytes\": " << r.runtime.totalTensorBytes
-           << ", \"arena\": " << (r.runtime.arena ? "true" : "false")
            << ", \"measured_peak_bytes\": " << r.runtime.measuredPeakBytes
            << ", \"heap_allocs\": " << r.runtime.heapAllocs
            << ", \"scratch_peak_bytes\": " << r.runtime.scratchPeakBytes

@@ -74,7 +74,6 @@ struct ProfileReport {
         int64_t totalTensorBytes = 0;  ///< no-reuse activation footprint
 
         // Measured memory behaviour (executable memory planning).
-        bool arena = false;             ///< executed with pooled arenas
         int64_t measuredPeakBytes = 0;  ///< max bound arena extent
         int64_t heapAllocs = 0;         ///< Storage heap allocs in run
         int64_t scratchPeakBytes = 0;   ///< kernel-temporary high water

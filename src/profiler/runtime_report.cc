@@ -76,8 +76,7 @@ printRuntimeReport(const RuntimeProfile &p, std::ostream &os)
     }
 
     const MemoryStats &m = p.memory;
-    os << "  memory: " << (m.arena ? "arena" : "heap")
-       << " execution  |  planned arena " << m.plannedArenaBytes / 1024
+    os << "  memory: planned arena " << m.plannedArenaBytes / 1024
        << " KiB, no-reuse " << m.plannedTotalBytes / 1024
        << " KiB  |  measured peak " << m.boundPeakBytes / 1024
        << " KiB (" << std::setprecision(1) << 100.0 * m.utilization()

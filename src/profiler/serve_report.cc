@@ -75,15 +75,12 @@ printServeReport(const ServeStats &s, std::ostream &os)
        << " misses (hit rate " << std::setprecision(1)
        << 100.0 * s.cacheHitRate() << "%)\n";
 
-    os << "  memory: " << (s.arena ? "arena" : "heap") << " execution, "
-       << s.tensorAllocs << " tensor allocs ("
+    os << "  memory: " << s.tensorAllocs << " tensor allocs ("
        << s.tensorAllocBytes / 1024 << " KiB) over the session, "
        << std::setprecision(2) << s.allocsPerRequest()
-       << " allocs/request";
-    if (s.arena)
-        os << "; " << s.arenaBlocks << " pooled arena blocks ("
-           << s.arenaBlockBytes / 1024 << " KiB)";
-    os << "\n";
+       << " allocs/request; " << s.arenaBlocks
+       << " pooled arena blocks (" << s.arenaBlockBytes / 1024
+       << " KiB)\n";
 
     if (s.quant.quantized)
         os << "  quant: mode " << s.quantMode << ", "
@@ -223,8 +220,7 @@ writeServeJson(const ServeStats &s, std::ostream &os)
     os << "  \"cache\": {\"hits\": " << s.cacheHits << ", \"misses\": "
        << s.cacheMisses << ", \"hit_rate\": " << s.cacheHitRate()
        << ", \"build_us\": " << s.engineBuildUs << "},\n";
-    os << "  \"memory\": {\"arena\": " << (s.arena ? "true" : "false")
-       << ", \"tensor_allocs\": " << s.tensorAllocs
+    os << "  \"memory\": {\"tensor_allocs\": " << s.tensorAllocs
        << ", \"tensor_alloc_bytes\": " << s.tensorAllocBytes
        << ", \"allocs_per_request\": " << s.allocsPerRequest()
        << ", \"arena_blocks\": " << s.arenaBlocks

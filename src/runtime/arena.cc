@@ -1,23 +1,10 @@
 #include "runtime/arena.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <string>
 
 namespace ngb {
-
-bool
-arenaEnabledByEnv()
-{
-    static const bool enabled = [] {
-        const char *env = std::getenv("NGB_ARENA");
-        return env && *env && std::string(env) != "0" &&
-               std::string(env) != "off";
-    }();
-    return enabled;
-}
 
 std::shared_ptr<Storage>
 ArenaPool::acquire()

@@ -27,9 +27,6 @@
 
 namespace ngb {
 
-/** True when $NGB_ARENA enables arena-backed execution process-wide. */
-bool arenaEnabledByEnv();
-
 /**
  * Pool of interchangeable arena blocks, one in use per in-flight
  * request. acquire() hands back a block no live tensor references

@@ -62,22 +62,19 @@ buildEnginePlan(const Graph &g)
 }
 
 BatchDriver::BatchDriver(const Graph &g, ThreadPool &pool,
-                         const Backend &backend, bool arena,
-                         IntraOpMode intraop)
-    : BatchDriver(g, pool, buildEnginePlan(g), backend, arena, intraop)
+                         const Backend &backend, IntraOpMode intraop)
+    : BatchDriver(g, pool, buildEnginePlan(g), backend, intraop)
 {
 }
 
 BatchDriver::BatchDriver(const Graph &g, ThreadPool &pool,
                          std::shared_ptr<EnginePlan> plan,
-                         const Backend &backend, bool arena,
-                         IntraOpMode intraop)
+                         const Backend &backend, IntraOpMode intraop)
     : g_(g), pool_(pool), plan_(std::move(plan)), backend_(backend),
-      arena_(arena), intraop_(intraop)
+      intraop_(intraop)
 {
     if (!plan_)
         throw std::runtime_error("BatchDriver: null EnginePlan");
-    arena_ = arena_ && plan_->memplan.arenaBytes > 0;
     // Backend warm-up (e.g. packed Linear weights) happens here, with
     // planning, so request timings never include first-touch
     // preprocessing. Idempotent on a shared plan: derived state is
@@ -136,8 +133,9 @@ BatchDriver::runOne(const std::vector<Tensor> &inputs,
     // One pooled arena block per in-flight request: planned node
     // outputs land at their planned offsets, zero mallocs steady
     // state. The block recycles once the caller drops the outputs.
+    // A plan that places nothing (arenaBytes 0) has no block.
     std::unique_ptr<ArenaAllocator> arena_alloc;
-    if (arena_)
+    if (plan_->memplan.arenaBytes > 0)
         arena_alloc = std::make_unique<ArenaAllocator>(
             plan_->memplan, plan_->arenas.acquire());
 
@@ -271,7 +269,6 @@ BatchDriver::run(const std::vector<std::vector<Tensor>> &requests,
     pool_.presizeScratch();
 
     profile_.memory = MemoryStats{};
-    profile_.memory.arena = arena_;
     profile_.memory.plannedArenaBytes = plan_->memplan.arenaBytes;
     profile_.memory.plannedTotalBytes = plan_->memplan.totalBytes;
     profile_.memory.heapAllocs =
@@ -288,9 +285,8 @@ BatchDriver::run(const std::vector<std::vector<Tensor>> &requests,
         profile_.memory.arenaTensors += m.arenaTensors;
         profile_.memory.heapTensors += m.heapTensors;
     }
-    if (arena_)
-        profile_.memory.arenaBlocks =
-            static_cast<int64_t>(plan_->arenas.blocks());
+    profile_.memory.arenaBlocks =
+        static_cast<int64_t>(plan_->arenas.blocks());
     return outputs;
 }
 

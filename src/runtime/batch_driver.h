@@ -35,8 +35,8 @@ struct EnginePlan {
     std::vector<std::vector<int>> releaseAfterStep;
 
     /**
-     * Arena blocks for arena-enabled drivers of this plan, one per
-     * in-flight request slot, recycled across requests (and across
+     * Arena blocks for the drivers of this plan, one per in-flight
+     * request slot, recycled across requests (and across
      * every driver/engine sharing the plan) as callers drop outputs.
      */
     ArenaPool arenas;
@@ -82,24 +82,22 @@ class BatchDriver
     /** Plan internally (schedule + arena + params) for @p g. */
     BatchDriver(const Graph &g, ThreadPool &pool,
                 const Backend &backend = defaultBackend(),
-                bool arena = arenaEnabledByEnv(),
                 IntraOpMode intraop = intraOpModeFromEnv());
 
     /** Adopt an already-built @p plan for @p g (must match). */
     BatchDriver(const Graph &g, ThreadPool &pool,
                 std::shared_ptr<EnginePlan> plan,
                 const Backend &backend = defaultBackend(),
-                bool arena = arenaEnabledByEnv(),
                 IntraOpMode intraop = intraOpModeFromEnv());
 
     /**
      * Execute every request (one vector of graph-input tensors each)
      * and return per-request graph outputs, in request order.
      *
-     * Arena mode: each request's outputs are VIEWS into that
-     * request's pooled arena block, so retaining them pins the whole
-     * block (plan.arenaBytes — the request's full intermediate
-     * footprint, not just the output bytes) until they are dropped.
+     * Outputs are always VIEWS into the request's pooled arena
+     * block, so retaining them pins the whole block (plan.arenaBytes
+     * — the request's full intermediate footprint, not just the
+     * output bytes) until they are dropped.
      * Callers that keep outputs long-term should clone() them out,
      * the way the serve driver's collection sink does; callers that
      * consume and drop them (the steady-state serving loop) recycle
@@ -123,7 +121,6 @@ class BatchDriver
     const MemoryPlan &memoryPlan() const { return plan_->memplan; }
     ParamStore &params() { return plan_->params; }
     const Backend &backend() const { return backend_; }
-    bool arenaEnabled() const { return arena_; }
     IntraOpMode intraOpMode() const { return intraop_; }
 
   private:
@@ -142,7 +139,6 @@ class BatchDriver
     ThreadPool &pool_;
     std::shared_ptr<EnginePlan> plan_;
     const Backend &backend_;
-    bool arena_ = false;
     IntraOpMode intraop_ = IntraOpMode::Auto;
 
     RuntimeProfile profile_;

@@ -16,11 +16,11 @@ intraOpModeFromEnv()
     if (!env || !*env)
         return IntraOpMode::Auto;
     const std::string s(env);
-    if (s == "0" || s == "off")
+    if (s == "0")
         return IntraOpMode::Off;
-    if (s == "1" || s == "on")
+    if (s == "1")
         return IntraOpMode::On;
-    return IntraOpMode::Auto;
+    return parseIntraOpMode(s);
 }
 
 IntraOpMode
@@ -32,7 +32,7 @@ parseIntraOpMode(const std::string &s)
         return IntraOpMode::On;
     if (s == "auto")
         return IntraOpMode::Auto;
-    throw std::runtime_error("unknown --intraop mode '" + s +
+    throw std::runtime_error("unknown intra-op mode '" + s +
                              "' (expected on, off, or auto)");
 }
 

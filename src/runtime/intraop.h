@@ -35,7 +35,10 @@ enum class IntraOpMode {
     Auto,  ///< cost model picks wide (inter-node) vs deep (intra-op)
 };
 
-/** $NGB_INTRAOP: "0"/"off" -> Off, "1"/"on" -> On, else Auto. */
+/**
+ * $NGB_INTRAOP through parseIntraOpMode, plus the aliases "0" (Off)
+ * and "1" (On); unset or "" is Auto. Throws on any other value.
+ */
 IntraOpMode intraOpModeFromEnv();
 
 /** Parse "on"/"off"/"auto" (throws std::runtime_error otherwise). */

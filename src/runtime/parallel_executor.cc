@@ -26,19 +26,18 @@ constexpr double kIntraOpEfficiency = 0.7;
 }  // namespace
 
 ParallelExecutor::ParallelExecutor(const Graph &g, ThreadPool &pool,
-                                   const Backend &backend, bool arena,
+                                   const Backend &backend,
                                    IntraOpMode intraop)
-    : ParallelExecutor(g, Schedule::wavefront(g), pool, backend, arena,
-                       intraop)
+    : ParallelExecutor(g, Schedule::wavefront(g), pool, backend, intraop)
 {
 }
 
 ParallelExecutor::ParallelExecutor(const Graph &g, Schedule sched,
                                    ThreadPool &pool,
-                                   const Backend &backend, bool arena,
+                                   const Backend &backend,
                                    IntraOpMode intraop)
     : g_(g), sched_(std::move(sched)), pool_(pool), backend_(backend),
-      params_(0x5eed), arena_(arena), intraop_(intraop)
+      params_(0x5eed), intraop_(intraop)
 {
     auto t0 = Clock::now();
     profile_.backend = backend_.name();
@@ -49,9 +48,7 @@ ParallelExecutor::ParallelExecutor(const Graph &g, Schedule sched,
         profile_.modelBytes += n.cost.totalBytes();
     }
     memplan_ = planMemory(g_, sched_);
-    arena_ = arena_ && memplan_.arenaBytes > 0;
-    if (arena_)
-        arenaPool_.configure(memplan_.arenaBytes);
+    arenaPool_.configure(memplan_.arenaBytes);
 
     // Per-node last-use level -> nodes releasable after each level.
     // The final level is never released: graph outputs live there.
@@ -157,10 +154,10 @@ ParallelExecutor::run(const std::vector<Tensor> &inputs)
         reset_baseline += ws.busyUs;  // discard pre-run counters
     (void)reset_baseline;
 
-    // Arena execution: bind every planned output of this run to its
-    // offset inside one pooled block (per-request slot).
+    // Bind every planned output of this run to its offset inside one
+    // pooled block (per-request slot); a plan placing nothing has none.
     std::unique_ptr<ArenaAllocator> arena_alloc;
-    if (arena_)
+    if (memplan_.arenaBytes > 0)
         arena_alloc = std::make_unique<ArenaAllocator>(
             memplan_, arenaPool_.acquire());
     uint64_t allocs0 = Storage::heapAllocCount();
@@ -274,7 +271,6 @@ ParallelExecutor::run(const std::vector<Tensor> &inputs)
     pool_.presizeScratch();
 
     profile_.memory = MemoryStats{};
-    profile_.memory.arena = arena_;
     profile_.memory.plannedArenaBytes = memplan_.arenaBytes;
     profile_.memory.plannedTotalBytes = memplan_.totalBytes;
     profile_.memory.heapAllocs =

@@ -30,12 +30,13 @@ namespace ngb {
  * resident activation memory tracks the live set instead of the whole
  * graph.
  *
- * With @p arena enabled (default: $NGB_ARENA), the memory plan is
- * EXECUTED rather than advisory: every planned node output is bound
- * to its offset inside a pooled arena block, so a warmed-up run
- * performs zero tensor mallocs and zero memsets. Outputs are returned
- * as views into the block; the pool recycles a block automatically
- * once the caller drops them. Results are bit-identical either way.
+ * The memory plan is EXECUTED rather than advisory: every planned
+ * node output is bound to its offset inside a pooled arena block, so
+ * a warmed-up run performs zero tensor mallocs and zero memsets.
+ * Outputs are always returned as views into the block (clone() them
+ * to retain them without pinning it); the pool recycles a block
+ * automatically once the caller drops them. Results are bit-identical
+ * to the heap-allocating serial Executor.
  *
  * Hybrid inter/intra-op scheduling: each level is dispatched either
  * WIDE (the fork-join above — one task per node, kernels serial) or
@@ -56,12 +57,10 @@ class ParallelExecutor
     /** Uses an internally built wavefront schedule for @p g. */
     ParallelExecutor(const Graph &g, ThreadPool &pool,
                      const Backend &backend = defaultBackend(),
-                     bool arena = arenaEnabledByEnv(),
                      IntraOpMode intraop = intraOpModeFromEnv());
 
     ParallelExecutor(const Graph &g, Schedule sched, ThreadPool &pool,
                      const Backend &backend = defaultBackend(),
-                     bool arena = arenaEnabledByEnv(),
                      IntraOpMode intraop = intraOpModeFromEnv());
 
     /** Run the graph; same contract as Executor::run. */
@@ -74,7 +73,6 @@ class ParallelExecutor
     const MemoryPlan &memoryPlan() const { return memplan_; }
     ParamStore &params() { return params_; }
     const Backend &backend() const { return backend_; }
-    bool arenaEnabled() const { return arena_; }
     IntraOpMode intraOpMode() const { return intraop_; }
 
     /** Levels the hybrid scheduler resolved to deep (intra-op). */
@@ -87,7 +85,6 @@ class ParallelExecutor
     const Backend &backend_;
     MemoryPlan memplan_;
     ParamStore params_;
-    bool arena_ = false;
     IntraOpMode intraop_ = IntraOpMode::Auto;
     ArenaPool arenaPool_;
     bool warmedUp_ = false;

@@ -43,7 +43,6 @@ struct LevelTiming {
  * allocation-regression tests run one driver at a time).
  */
 struct MemoryStats {
-    bool arena = false;             ///< outputs bound to planned arenas
     int64_t plannedArenaBytes = 0;  ///< MemoryPlan::arenaBytes
     int64_t plannedTotalBytes = 0;  ///< no-reuse footprint
     int64_t boundPeakBytes = 0;     ///< measured max bound arena extent

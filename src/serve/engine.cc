@@ -49,8 +49,7 @@ Engine::Engine(const std::string &model, const EngineConfig &cfg,
     plan_ = buildEnginePlan(*graph_);
     backend_ = &resolveBackend(cfg, backendName);
     driver_ = std::make_unique<BatchDriver>(*graph_, pool, plan_,
-                                            *backend_, cfg.arena,
-                                            cfg.intraop);
+                                            *backend_, cfg.intraop);
     buildUs_ = elapsedUsSince(t0);
 }
 
@@ -65,7 +64,7 @@ EngineCache::get(const std::string &model, const std::string &backend)
     std::lock_guard<std::mutex> lock(mutex_);
     EngineKey key{model, cfg_.scale, pool_.threads(),
                   resolveBackend(cfg_, backend).name(), cfg_.fuse,
-                  cfg_.arena, cfg_.quant, resolveIsa(cfg_),
+                  cfg_.quant, resolveIsa(cfg_),
                   intraOpModeName(cfg_.intraop)};
     auto it = engines_.find(key);
     if (it != engines_.end()) {

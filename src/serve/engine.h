@@ -38,13 +38,8 @@ struct EngineConfig {
      */
     bool fuse = fuseEnabledByEnv();
 
-    /**
-     * Execute through pooled per-request arenas (the engine plan's
-     * MemoryPlan made executable): the steady-state serving loop then
-     * performs zero tensor mallocs. Defaults to $NGB_ARENA; outputs
-     * are bit-identical either way.
-     */
-    bool arena = arenaEnabledByEnv();
+    /** Not an option (engines always run on arenas); kept for readers. */
+    static constexpr bool arena = true;
 
     /**
      * Executable quantization mode compiled into every engine of this
@@ -90,17 +85,16 @@ struct EngineKey {
     int threads = 1;
     std::string backend = "reference";
     bool fuse = false;   ///< engine graph was compiled with fusion
-    bool arena = false;  ///< engine executes through pooled arenas
     std::string quant = "off";  ///< quantization mode compiled in
     std::string isa = "scalar"; ///< ISA dispatch level at build time
     std::string intraop = "off"; ///< intra-op mode compiled in
 
     bool operator<(const EngineKey &o) const
     {
-        return std::tie(model, scale, threads, backend, fuse, arena,
-                        quant, isa, intraop) <
+        return std::tie(model, scale, threads, backend, fuse, quant,
+                        isa, intraop) <
                std::tie(o.model, o.scale, o.threads, o.backend, o.fuse,
-                        o.arena, o.quant, o.isa, o.intraop);
+                        o.quant, o.isa, o.intraop);
     }
 };
 
@@ -135,10 +129,7 @@ class Engine
     /** Wall time spent building graph + plan (the cache-miss cost). */
     double buildUs() const { return buildUs_; }
 
-    /** True when this engine executes through pooled arenas. */
-    bool arenaEnabled() const { return driver_->arenaEnabled(); }
-
-    /** Arena blocks this engine's plan has materialized (0 = heap). */
+    /** Arena blocks this engine's plan has materialized. */
     size_t arenaBlocks() const { return plan_->arenas.blocks(); }
 
     /** Bytes per arena block (the planned peak). */

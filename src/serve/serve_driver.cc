@@ -252,19 +252,17 @@ runServe(const ServeConfig &cfg, ThreadPool &pool)
 
     ServeResult result;
     const bool collect = cfg.verify || cfg.collectOutputs;
-    const bool arena = cfg.engine.arena;
     DynamicBatcher::Sink sink;
     if (collect)
-        sink = [&result, arena](const RequestRecord &rec,
-                                const std::vector<Tensor> &outs) {
-            // Dispatch-thread only. Heap engines: shallow views are
-            // free to retain. Arena engines: retained views would pin
-            // their request's arena block for the whole session, so
+        sink = [&result](const RequestRecord &rec,
+                         const std::vector<Tensor> &outs) {
+            // Dispatch-thread only. Retained views would pin their
+            // request's arena block for the whole session, so
             // deep-copy and let the pool recycle the block.
             std::vector<Tensor> kept;
             kept.reserve(outs.size());
             for (const Tensor &t : outs)
-                kept.push_back(arena ? t.clone() : t);
+                kept.push_back(t.clone());
             result.outputs.push_back(
                 {rec.id, rec.model, rec.seed, std::move(kept)});
         };
@@ -330,7 +328,6 @@ runServe(const ServeConfig &cfg, ThreadPool &pool)
     result.stats.admitted = counters.admitted;
     result.stats.rejected = counters.rejected;
 
-    result.stats.arena = arena;
     result.stats.tensorAllocs =
         static_cast<int64_t>(Storage::heapAllocCount() - allocs0);
     result.stats.tensorAllocBytes =

@@ -80,7 +80,6 @@ struct ServeStats {
 
     // -- Memory behaviour of the serving session ----------------------
 
-    bool arena = false;          ///< engines executed through arenas
     int64_t tensorAllocs = 0;    ///< Storage heap allocs during serving
     int64_t tensorAllocBytes = 0;
     int64_t arenaBlocks = 0;     ///< pooled blocks across all engines
@@ -111,7 +110,7 @@ struct ServeStats {
      * Heap tensor allocations per completed request over the whole
      * session (includes warm-up: engine builds and pool growth — a
      * steady-state loop adds zero, so this tends to 0 as sessions
-     * lengthen with arenas on).
+     * lengthen).
      */
     double allocsPerRequest() const
     {

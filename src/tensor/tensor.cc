@@ -1,10 +1,11 @@
 #include "tensor/tensor.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <random>
 #include <stdexcept>
+
+#include "platform/env.h"
 
 namespace ngb {
 
@@ -88,8 +89,7 @@ Storage::poisonEnabled()
 {
     int state = g_poison.load();
     if (state < 0) {
-        const char *env = std::getenv("NGB_POISON");
-        state = env && *env && std::string(env) != "0" ? 1 : 0;
+        state = platform::envFlag("NGB_POISON") ? 1 : 0;
         g_poison.store(state);
     }
     return state == 1;

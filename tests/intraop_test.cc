@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "backend_sets.h"
@@ -58,6 +60,29 @@ TEST(IntraOpModeTest, ParsesNamesAndRejectsGarbage)
     EXPECT_STREQ(intraOpModeName(IntraOpMode::On), "on");
     EXPECT_STREQ(intraOpModeName(IntraOpMode::Off), "off");
     EXPECT_STREQ(intraOpModeName(IntraOpMode::Auto), "auto");
+}
+
+TEST(IntraOpModeTest, EnvParsesThroughParseIntraOpModePlusAliases)
+{
+    const char *prev = std::getenv("NGB_INTRAOP");
+    const std::string saved = prev ? prev : "";
+    auto from = [](const char *v) {
+        setenv("NGB_INTRAOP", v, 1);
+        return intraOpModeFromEnv();
+    };
+    EXPECT_EQ(from(""), IntraOpMode::Auto);
+    EXPECT_EQ(from("0"), IntraOpMode::Off);
+    EXPECT_EQ(from("1"), IntraOpMode::On);
+    EXPECT_EQ(from("off"), IntraOpMode::Off);
+    EXPECT_EQ(from("on"), IntraOpMode::On);
+    EXPECT_EQ(from("auto"), IntraOpMode::Auto);
+    EXPECT_THROW(from("of"), std::runtime_error);
+    EXPECT_THROW(from("true"), std::runtime_error);
+    if (prev)
+        setenv("NGB_INTRAOP", saved.c_str(), 1);
+    else
+        unsetenv("NGB_INTRAOP");
+    EXPECT_NO_THROW(intraOpModeFromEnv());
 }
 
 // ---- ParallelRegion primitive ----------------------------------------------
@@ -291,8 +316,7 @@ TEST(IntraOpSchedulerTest, OffModeNeverRunsDeepLevels)
     Graph g = models::findModel("vit_b").build(ModelConfig{1, 8, false,
                                                            0, 8});
     ThreadPool pool(4);
-    ParallelExecutor ex(g, pool, simdBackend(), false,
-                        IntraOpMode::Off);
+    ParallelExecutor ex(g, pool, simdBackend(), IntraOpMode::Off);
     ex.run(makeRequestInputs(g, 1));
     EXPECT_EQ(ex.profile().deepLevelCount(), 0);
     EXPECT_EQ(ex.profile().intraop, "off");
@@ -303,8 +327,7 @@ TEST(IntraOpSchedulerTest, OnModeRunsNarrowGemmLevelsDeep)
     Graph g = models::findModel("vit_b").build(ModelConfig{1, 8, false,
                                                            0, 8});
     ThreadPool pool(4);
-    ParallelExecutor ex(g, pool, simdBackend(), false,
-                        IntraOpMode::On);
+    ParallelExecutor ex(g, pool, simdBackend(), IntraOpMode::On);
     ex.run(makeRequestInputs(g, 1));
     // A transformer trunk is narrower than 4 workers at its GEMM
     // levels: On must hand at least some of them to intra-op.
@@ -323,7 +346,7 @@ TEST(IntraOpSchedulerTest, SingleRequestBatchGoesDeepAndStaysIdentical)
     ThreadPool pool(4);
     for (IntraOpMode mode :
          {IntraOpMode::Off, IntraOpMode::On, IntraOpMode::Auto}) {
-        BatchDriver drv(g, pool, simdBackend(), false, mode);
+        BatchDriver drv(g, pool, simdBackend(), mode);
         auto outs = drv.run({inputs});
         ASSERT_EQ(outs.size(), 1u);
         EXPECT_TRUE(outputsBitIdentical(outs[0], want))
@@ -362,15 +385,14 @@ TEST_P(IntraOpAllModels, BitIdenticalAtEveryThreadCount)
             ThreadPool pool(threads);
             // Single-request batch: the whole graph runs under a
             // full-pool region — every GEMM shards.
-            BatchDriver drv(g, pool, *backend, false, IntraOpMode::On);
+            BatchDriver drv(g, pool, *backend, IntraOpMode::On);
             auto outs = drv.run({inputs});
             ASSERT_EQ(outs.size(), 1u);
             EXPECT_TRUE(outputsBitIdentical(outs[0], want))
                 << info.name << " driver backend=" << backend->name()
                 << " threads=" << threads;
             // Wavefront executor: hybrid per-level wide/deep.
-            ParallelExecutor ex(g, pool, *backend, false,
-                                IntraOpMode::On);
+            ParallelExecutor ex(g, pool, *backend, IntraOpMode::On);
             EXPECT_TRUE(outputsBitIdentical(ex.run(inputs), want))
                 << info.name << " executor backend=" << backend->name()
                 << " threads=" << threads;
@@ -411,8 +433,7 @@ TEST(IntraOpQuantFusedTest, QuantizedAndFusedGraphsBitIdenticalSharded)
                     Executor ref(g, *backend);
                     auto want = ref.run(inputs);
                     ThreadPool pool(threads);
-                    BatchDriver drv(g, pool, *backend, false,
-                                    IntraOpMode::On);
+                    BatchDriver drv(g, pool, *backend, IntraOpMode::On);
                     auto outs = drv.run({inputs});
                     ASSERT_EQ(outs.size(), 1u);
                     EXPECT_TRUE(outputsBitIdentical(outs[0], want))

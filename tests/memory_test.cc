@@ -364,12 +364,12 @@ TEST(ArenaExecutionTest, BitIdenticalToHeapAcrossRegistryAndBackends)
             std::vector<std::vector<Tensor>> want = {
                 serial.run(reqs[0]), serial.run(reqs[1])};
 
-            ParallelExecutor wavefront(g, pool, *backend, /*arena=*/true);
+            ParallelExecutor wavefront(g, pool, *backend);
             EXPECT_TRUE(outputsBitIdentical(wavefront.run(reqs[0]),
                                             want[0]))
                 << info.name << " wavefront/" << backend->name();
 
-            BatchDriver batch(g, pool, *backend, /*arena=*/true);
+            BatchDriver batch(g, pool, *backend);
             std::vector<std::vector<Tensor>> got = batch.run(reqs);
             for (size_t r = 0; r < reqs.size(); ++r)
                 EXPECT_TRUE(outputsBitIdentical(got[r], want[r]))
@@ -398,8 +398,7 @@ TEST(ArenaExecutionTest, FusedGraphsBitIdenticalToHeapFused)
         // fusion_exec_test's job).
         Executor serial(g, referenceBackend());
         std::vector<Tensor> want = serial.run(inputs);
-        BatchDriver arena_driver(g, pool, referenceBackend(),
-                                 /*arena=*/true);
+        BatchDriver arena_driver(g, pool, referenceBackend());
         EXPECT_TRUE(
             outputsBitIdentical(arena_driver.run({inputs})[0], want))
             << info.name << " fused arena";
@@ -453,7 +452,7 @@ steadyStateBatchAllocs(const std::string &model, const Backend &backend,
     Graph g = models::findModel(model).build(mc);
     std::vector<std::vector<Tensor>> reqs = {makeRequestInputs(g, 1),
                                              makeRequestInputs(g, 2)};
-    BatchDriver driver(g, pool, backend, /*arena=*/true);
+    BatchDriver driver(g, pool, backend);
     // Outputs dropped each round -> blocks and scratch recycle.
     return steadyStateAllocs([&] { driver.run(reqs); });
 }
@@ -485,11 +484,11 @@ TEST(AllocationRegressionTest, SteadyStateWavefrontIsMallocFree)
     mc.testScale = 8;
     Graph g = models::findModel("vit_b").build(mc);
     std::vector<Tensor> inputs = makeRequestInputs(g, 1);
-    ParallelExecutor ex(g, pool, referenceBackend(), /*arena=*/true);
+    ParallelExecutor ex(g, pool, referenceBackend());
     // Outputs dropped between runs -> the one block recycles.
     EXPECT_EQ(steadyStateAllocs([&] { ex.run(inputs); }), 0u);
     EXPECT_EQ(ex.profile().memory.heapAllocs, 0);
-    EXPECT_TRUE(ex.profile().memory.arena);
+    EXPECT_GT(ex.profile().memory.arenaTensors, 0);
     EXPECT_GT(ex.profile().memory.boundPeakBytes, 0);
 }
 
@@ -499,14 +498,12 @@ TEST(AllocationRegressionTest, SteadyStateServingEngineIsMallocFree)
     serve::EngineConfig cfg;
     cfg.scale = 8;
     cfg.seqLen = 8;
-    cfg.arena = true;
     serve::EngineCache cache(pool, cfg);
     serve::Engine &engine = cache.get("gpt2");
     std::vector<std::vector<Tensor>> reqs = {
         makeRequestInputs(engine.graph(), 11),
         makeRequestInputs(engine.graph(), 12)};
     EXPECT_EQ(steadyStateAllocs([&] { engine.run(reqs); }), 0u);
-    EXPECT_TRUE(engine.arenaEnabled());
     EXPECT_GT(engine.arenaBlocks(), 0u);
     auto stats = cache.stats();
     EXPECT_GT(stats.arenaBlocks, 0u);
@@ -540,14 +537,14 @@ TEST(ArenaStressTest, ConcurrentWavefrontWritesRespectThePlan)
     std::vector<Tensor> inputs = makeRequestInputs(g, 7);
     Executor serial(g);
     std::vector<Tensor> want = serial.run(inputs);
-    ParallelExecutor ex(g, pool, defaultBackend(), /*arena=*/true);
+    ParallelExecutor ex(g, pool, defaultBackend());
     ASSERT_TRUE(verifyNoAliasing(ex.memoryPlan()));
     for (int iter = 0; iter < kStressIters; ++iter)
         ASSERT_TRUE(outputsBitIdentical(ex.run(inputs), want))
             << "iteration " << iter;
 
     // The same plan hammered through concurrent batched requests.
-    BatchDriver driver(g, pool, defaultBackend(), /*arena=*/true);
+    BatchDriver driver(g, pool, defaultBackend());
     std::vector<std::vector<Tensor>> reqs;
     for (int r = 0; r < 16; ++r)
         reqs.push_back(makeRequestInputs(g, 7));  // identical inputs

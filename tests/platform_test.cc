@@ -3,9 +3,20 @@
 #include <cmath>
 
 #include "platform/cost_model.h"
+#include "platform/env.h"
 
 namespace ngb {
 namespace {
+
+TEST(EnvFlagTest, UnsetEmptyZeroAndOffAreOff)
+{
+    EXPECT_FALSE(platform::parseEnvFlag(nullptr));
+    EXPECT_FALSE(platform::parseEnvFlag(""));
+    EXPECT_FALSE(platform::parseEnvFlag("0"));
+    EXPECT_FALSE(platform::parseEnvFlag("off"));
+    EXPECT_TRUE(platform::parseEnvFlag("1"));
+    EXPECT_TRUE(platform::parseEnvFlag("on"));
+}
 
 KernelGroup
 gemmGroup(double flops, double bytes_param = 0)
